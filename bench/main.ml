@@ -21,8 +21,7 @@
      BENCH_INPROC_OUT  path of that file (default BENCH_inproc.json)
      BENCH_JOBS     supervised sweep workers           (default 1)
      BENCH_JOURNAL  append completed tasks to this crash-safe JSONL file
-     BENCH_RESUME   skip tasks already journaled in this file
-     BENCH_INPROC=1 legacy in-process sweep (no fork isolation) *)
+     BENCH_RESUME   skip tasks already journaled in this file *)
 
 module Fam = Circuit.Families
 module R = Harness.Runner
@@ -158,28 +157,18 @@ let short = function
   | R.Memout _ -> "MO"
   | R.Crash _ -> "CRASH"
 
-let run_suite_inproc instances =
-  let n = List.length instances in
-  List.mapi
-    (fun i inst ->
-      Printf.eprintf "[%3d/%d] %-28s%!" (i + 1) n inst.Fam.id;
-      let r = R.run_instance ~hqs_config:bench_hqs_config ~timeout ~node_limit inst in
-      Printf.eprintf " hqs: %-12s idq: %-12s\n%!" (short r.R.hqs) (short r.R.idq);
-      r)
-    instances
-
-(* default path: every (instance, solver) task in its own forked worker
-   under the supervisor, so one wedged or crashing solve cannot take the
-   whole benchmark down; the kernel wall limit is a backstop over the
+(* every (instance, solver) task in its own forked worker under the
+   supervisor, so one wedged or crashing solve cannot take the whole
+   benchmark down; the kernel wall limit is a backstop over the
    in-process timeout *)
-let run_suite_supervised instances =
+let run_suite instances =
   let jobs = env_int "BENCH_JOBS" 1 in
   let journal = Sys.getenv_opt "BENCH_JOURNAL" in
   let resume = Sys.getenv_opt "BENCH_RESUME" in
   let config =
     {
       (Harness.Sweep.default_config ~timeout ~node_limit) with
-      Harness.Sweep.hqs_config = Some bench_hqs_config;
+      Harness.Sweep.hqs_config = bench_hqs_config;
       exec =
         {
           Exec.Supervisor.default_config with
@@ -205,10 +194,6 @@ let run_suite_supervised instances =
        Printf.sprintf ", %d torn journal lines dropped" rep.Harness.Sweep.journal_dropped
      else "");
   rep.Harness.Sweep.results
-
-let run_suite instances =
-  if env_bool "BENCH_INPROC" false then run_suite_inproc instances
-  else run_suite_supervised instances
 
 (* ------------------------------------------------------------- ablations *)
 
@@ -377,11 +362,13 @@ let obs_baseline () =
       Obs.Sampler.reset ();
       Obs.Trace.reset ();
       Obs.Trace.start ();
-      let before = Obs.Metrics.snapshot () in
       let budget = Hqs_util.Budget.of_seconds timeout in
       let config = { Hqs.default_config with node_limit = Some node_limit } in
       let t0 = Hqs_util.Budget.now () in
-      let verdict =
+      (* a scope of its own, so a TO/MO row still has metrics and no
+         family reports the peak of an earlier one *)
+      let verdict, delta =
+        Obs.Metrics.scoped @@ fun () ->
         match Hqs.solve_pcnf ~config ~budget inst.Fam.pcnf with
         | Hqs.Sat, _ -> "SAT"
         | Hqs.Unsat, _ -> "UNSAT"
@@ -391,7 +378,6 @@ let obs_baseline () =
       let elapsed = Hqs_util.Budget.now () -. t0 in
       Obs.Trace.stop ();
       let phases = Obs.Trace.totals () in
-      let delta = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ()) in
       traj :=
         ( inst.Fam.family,
           (("wall_s", elapsed)
@@ -489,13 +475,14 @@ let analysis_baseline () =
     (fun i inst ->
       let o_triv, s_triv = solve Analysis.Scheme.Trivial inst.Fam.pcnf in
       let o_rp, s_rp = solve Analysis.Scheme.Rp inst.Fam.pcnf in
-      let ms = Option.map (fun (s : Hqs.stats) -> s.Hqs.maxsat_set_size) in
+      let count name = Option.map (fun s -> int_of_float (Hqs.metric s name)) in
+      let ms = count "hqs.maxsat_set" in
       let ms_triv = ms s_triv and ms_rp = ms s_rp in
       let delta =
         match (ms_triv, ms_rp) with Some a, Some b -> Some (a - b) | _ -> None
       in
-      let pruned = Option.map (fun (s : Hqs.stats) -> s.Hqs.analysis_edges_pruned) s_rp in
-      let linearized = Option.map (fun (s : Hqs.stats) -> s.Hqs.analysis_linearized) s_rp in
+      let pruned = count "analysis.edges_pruned" s_rp in
+      let linearized = Option.map (fun n -> n > 0) (count "analysis.linearized" s_rp) in
       if verdict_str o_triv <> verdict_str o_rp then
         Printf.eprintf "analysis baseline: scheme verdicts differ on %s (%s vs %s)\n%!"
           inst.Fam.id (verdict_str o_triv) (verdict_str o_rp);
@@ -768,4 +755,4 @@ let () =
   end;
   print_endline "";
   print_endline "raw per-instance results (CSV):";
-  print_string (Harness.Report.csv results)
+  print_string (Harness.Report.csv ~config:bench_hqs_config results)

@@ -188,7 +188,7 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
           | exception Sys_error msg ->
               Printf.eprintf "error: cannot write certificate: %s\n" msg;
               exit 2);
-          (verdict, stats)
+          (verdict, stats, cfg)
       | exception Check.Violation ({ Check.stage = Check.Post_certify; _ } as v) ->
           Format.eprintf "c certificate audit failed (attempt %d/%d): %a@." n max_attempts
             Check.pp_violation v;
@@ -241,13 +241,17 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
           | Ok () -> print_endline "c model verified"
           | Error e -> Format.printf "c MODEL REJECTED: %a@." Dqbf.Skolem.pp_failure e)
       | _ -> ());
-      (verdict, stats)
+      (verdict, stats, config)
     end
-    else Hqs.solve_pcnf ~config ~budget pcnf
+    else
+      let verdict, stats = Hqs.solve_pcnf ~config ~budget pcnf in
+      (verdict, stats, config)
   in
   match run () with
-  | verdict, stats ->
-      if show_stats then Format.eprintf "c %a@." Hqs.pp_stats stats;
+  | verdict, stats, config ->
+      (* the echoes come from the config the reported solve ran under,
+         which a certificate retry escalates *)
+      if show_stats then Format.eprintf "c %a@." (Hqs.pp_stats config) stats;
       finish_obs ();
       (match verdict with
       | Hqs.Sat ->
@@ -439,33 +443,24 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
   let config =
     {
       (Harness.Sweep.default_config ~timeout ~node_limit) with
-      (* an explicit flag pins the scheme/engine in every forked worker;
-         without it workers inherit HQS_DEP_SCHEME / HQS_INPROC through
-         the environment *)
+      (* an explicit flag overrides the scheme/engine that
+         Hqs.default_config read from HQS_DEP_SCHEME / HQS_INPROC; the
+         CSV echoes the same config the forked workers solve under *)
       Harness.Sweep.hqs_config =
-        (match (dep_scheme, inproc) with
-        | None, None -> None
-        | ds, ip ->
-            let cfg = Hqs.default_config in
-            let cfg =
-              match ds with
-              | None -> cfg
-              | Some s -> { cfg with Hqs.dep_scheme = resolve_dep_scheme (Some s) }
-            in
-            let cfg =
-              match ip with
-              | None -> cfg
-              | Some s ->
-                  {
-                    cfg with
-                    Hqs.preprocess =
-                      {
-                        cfg.Hqs.preprocess with
-                        Dqbf.Preprocess.inproc = resolve_inproc (Some s);
-                      };
-                  }
-            in
-            Some cfg);
+        (let cfg = Hqs.default_config in
+         let cfg =
+           match dep_scheme with
+           | None -> cfg
+           | Some s -> { cfg with Hqs.dep_scheme = resolve_dep_scheme (Some s) }
+         in
+         match inproc with
+         | None -> cfg
+         | Some s ->
+             {
+               cfg with
+               Hqs.preprocess =
+                 { cfg.Hqs.preprocess with Dqbf.Preprocess.inproc = resolve_inproc (Some s) };
+             });
       Harness.Sweep.certify_dir;
       Harness.Sweep.exec =
         {
@@ -511,7 +506,7 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
   let results = rep.Harness.Sweep.results in
   prerr_string (Harness.Report.table1 results);
   prerr_string (Harness.Report.headline results);
-  print_string (Harness.Report.csv results);
+  print_string (Harness.Report.csv ~config:config.Harness.Sweep.hqs_config results);
   (match trace with
   | None -> ()
   | Some path -> (

@@ -22,7 +22,8 @@
 #   6. dependency-scheme gate: solve a generated example suite twice
 #      (--dep-scheme trivial vs rp) under --check full, diff the verdict
 #      lines byte-for-byte, assert rp never grows the MaxSAT elimination
-#      set and prunes at least one edge on the c432 PEC family
+#      set (a --stats line without maxsat-set= fails the gate) and prunes
+#      at least one edge on the c432 PEC family
 #   7. inprocessing gate: re-solve the example suite with the CNF
 #      inprocessing engine on vs off under --check full and diff the
 #      verdict lines byte-for-byte; run `hqs analyze` on the committed
@@ -198,7 +199,13 @@ for f in "$tmp/an"/*.dqdimacs; do
   done
   ms_trivial=$(cat "$tmp/ms.trivial")
   ms_rp=$(cat "$tmp/ms.rp")
-  if [ -n "$ms_trivial" ] && [ -n "$ms_rp" ] && [ "$ms_rp" -gt "$ms_trivial" ]; then
+  # a --stats line without the key must fail the gate, not skip it
+  if [ -z "$ms_trivial" ] || [ -z "$ms_rp" ]; then
+    echo "== ci FAILED: no maxsat-set= in the --stats output on $id =="
+    cat "$tmp/an.trivial.out" "$tmp/an.rp.out"
+    exit 1
+  fi
+  if [ "$ms_rp" -gt "$ms_trivial" ]; then
     echo "== ci FAILED: rp grew the MaxSAT elimination set on $id ($ms_trivial -> $ms_rp) =="
     exit 1
   fi

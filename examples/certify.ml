@@ -29,7 +29,7 @@ let () =
   | Hqs.Unsat, _, _ -> print_endline "unexpected UNSAT"
   | Hqs.Sat, None, _ -> print_endline "no model produced"
   | Hqs.Sat, Some model, stats ->
-      Printf.printf "HQS: REALIZABLE in %.3f s\n" stats.Hqs.total_time;
+      Printf.printf "HQS: REALIZABLE in %.3f s\n" (Hqs.metric stats "hqs.total_time_s.sum");
       (* 1. independent certificate check *)
       (match Sk.verify original model with
       | Ok () -> print_endline "certificate: Skolem functions VERIFIED against the formula"

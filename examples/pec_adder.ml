@@ -30,7 +30,9 @@ let solve (inst : Fam.instance) =
     (match verdict with
     | Hqs.Sat -> "REALIZABLE (the boxes can be implemented)"
     | Hqs.Unsat -> "UNREALIZABLE (no box implementation works)")
-    dt stats.Hqs.univ_elims stats.Hqs.maxsat_set_size
+    dt
+    (int_of_float (Hqs.metric stats "elim.universal"))
+    (int_of_float (Hqs.metric stats "hqs.maxsat_set"))
 
 let () =
   print_endline "=== 4-bit adder, two unimplemented full-adder cells ===";

@@ -44,7 +44,7 @@ let solve_both name f =
   let verdict, stats = Hqs.solve_formula f in
   Printf.printf "%-12s HQS: %s   (%s)\n" name
     (match verdict with Hqs.Sat -> "SAT" | Hqs.Unsat -> "UNSAT")
-    (Format.asprintf "%a" Hqs.pp_stats stats);
+    (Format.asprintf "%a" (Hqs.pp_stats Hqs.default_config) stats);
   let answer, istats = Idq.solve f in
   Printf.printf "%-12s iDQ: %s   (%d instantiation rounds, %d ground vars)\n" name
     (if answer then "SAT" else "UNSAT")

@@ -66,79 +66,6 @@ let degraded_config config =
     qbf_backend = Search_backend;
   }
 
-type stats = {
-  mutable pre_stats : Dqbf.Preprocess.stats option;
-  mutable univ_elims : int;
-  mutable exist_elims : int;
-  mutable unitpure_elims : int;
-  mutable maxsat_runs : int;
-  mutable maxsat_set_size : int;
-  mutable maxsat_time : float;
-  mutable unitpure_time : float;
-  mutable qbf_time : float;
-  mutable peak_nodes : int;
-  mutable total_time : float;
-  mutable restarts : int;
-  mutable degraded : string list;
-  mutable check_level : string;
-  mutable checks_run : int;
-  mutable sat_conflicts : int;
-  mutable sat_propagations : int;
-  mutable fraig_merges : int;
-  mutable dep_scheme : string;
-  mutable analysis_edges_pruned : int;
-  mutable analysis_linearized : bool;
-  mutable inproc_mode : string;
-  mutable inproc_rounds : int;
-  mutable inproc_units : int;
-  mutable inproc_scc_merges : int;
-  mutable inproc_subsumed : int;
-  mutable inproc_strengthened : int;
-  mutable inproc_failed_lits : int;
-  mutable inproc_bve : int;
-  mutable inproc_clauses_removed : int;
-  mutable inproc_lits_removed : int;
-  mutable cert_status : string;
-  mutable metrics : (string * float) list;
-}
-
-let fresh_stats () =
-  {
-    pre_stats = None;
-    univ_elims = 0;
-    exist_elims = 0;
-    unitpure_elims = 0;
-    maxsat_runs = 0;
-    maxsat_set_size = 0;
-    maxsat_time = 0.0;
-    unitpure_time = 0.0;
-    qbf_time = 0.0;
-    peak_nodes = 0;
-    total_time = 0.0;
-    restarts = 0;
-    degraded = [];
-    check_level = "off";
-    checks_run = 0;
-    sat_conflicts = 0;
-    sat_propagations = 0;
-    fraig_merges = 0;
-    dep_scheme = Analysis.Scheme.name Analysis.Scheme.Trivial;
-    analysis_edges_pruned = 0;
-    analysis_linearized = false;
-    inproc_mode = Inproc.mode_name Inproc.Off;
-    inproc_rounds = 0;
-    inproc_units = 0;
-    inproc_scc_merges = 0;
-    inproc_subsumed = 0;
-    inproc_strengthened = 0;
-    inproc_failed_lits = 0;
-    inproc_bve = 0;
-    inproc_clauses_removed = 0;
-    inproc_lits_removed = 0;
-    cert_status = "-";
-    metrics = [];
-  }
-
 exception Done of verdict
 
 let sat_probe ~budget f =
@@ -158,29 +85,18 @@ let rollback_opt trail mark =
 
 let g_heap = Obs.Metrics.gauge "gc.heap_words.peak"
 
-(* mirrors of [stats] fields that otherwise live only in the in-process
-   record: shipping them through the metric registry lets the sweep
-   supervisor rebuild a partial stats row for a worker that was killed by
-   the wall-clock or memory governor before it could send its result
-   frame (the registry delta rides in every partial IPC flush) *)
-let g_restarts = Obs.Metrics.gauge "hqs.restarts"
+(* the solve's own statistics: the registry is their only store, and
+   each public entry point reads them back from its metric scope *)
 let g_peak_nodes = Obs.Metrics.gauge "hqs.peak_nodes"
-let m_unitpure_elims = Obs.Metrics.counter "hqs.unitpure_elims"
 let g_maxsat_set = Obs.Metrics.gauge "hqs.maxsat_set"
-let g_maxsat_time = Obs.Metrics.gauge "hqs.maxsat_time_s"
-let g_unitpure_time = Obs.Metrics.gauge "hqs.unitpure_time_s"
-let g_qbf_time = Obs.Metrics.gauge "hqs.qbf_time_s"
+let c_restarts = Obs.Metrics.counter "hqs.restarts"
+let c_unitpure_elims = Obs.Metrics.counter "hqs.unitpure_elims"
+let h_maxsat_time = Obs.Metrics.histogram "hqs.maxsat_time_s"
+let h_unitpure_time = Obs.Metrics.histogram "hqs.unitpure_time_s"
+let h_qbf_time = Obs.Metrics.histogram "hqs.qbf_time_s"
+let h_total_time = Obs.Metrics.histogram "hqs.total_time_s"
 
-let metric_int m name =
-  match Obs.Metrics.find m name with Some v -> int_of_float v | None -> 0
-
-let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
-  let t_start = Budget.now () in
-  let m_before = Obs.Metrics.snapshot () in
-  let stats = fresh_stats () in
-  stats.restarts <- restarts;
-  Obs.Metrics.set_max g_restarts (float_of_int restarts);
-  stats.check_level <- Check.level_name (config : config).check_level;
+let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
   Obs.Span.with_ "hqs.solve"
     ~attrs:[ ("restarts", Obs.Int restarts); ("vars", Obs.Int (F.next_var f0)) ]
   @@ fun () ->
@@ -200,8 +116,7 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
   let last_size = ref (M.num_nodes (F.man f)) in
   let fraig_floor = ref 0 in
   let note_size () =
-    stats.peak_nodes <- max stats.peak_nodes (M.num_nodes (F.man f));
-    Obs.Metrics.set_max g_peak_nodes (float_of_int stats.peak_nodes);
+    Obs.Metrics.set_max g_peak_nodes (float_of_int (M.num_nodes (F.man f)));
     Obs.Metrics.set_max g_heap (float_of_int (Budget.heap_words ()))
   in
   (* the soundness gate at each stage boundary (free when check_level=Off) *)
@@ -239,6 +154,7 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
       audit Check.Post_fraig
     end
   in
+  let first_selection = ref true in
   let refill_queue () =
     let t0 = Budget.now () in
     Obs.Span.with_ "elim.select"
@@ -256,12 +172,12 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
               ()
           else Dqbf.Elimset.greedy_all f
     in
-    stats.maxsat_time <- stats.maxsat_time +. (Budget.now () -. t0);
-    Obs.Metrics.set_max g_maxsat_time stats.maxsat_time;
-    stats.maxsat_runs <- stats.maxsat_runs + 1;
-    if stats.maxsat_runs = 1 then begin
-      stats.maxsat_set_size <- List.length set;
-      Obs.Metrics.set_max g_maxsat_set (float_of_int stats.maxsat_set_size)
+    Obs.Metrics.observe h_maxsat_time (Budget.now () -. t0);
+    (* the first elimination set of this attempt: a degraded restart
+       overwrites the failed attempt's *)
+    if !first_selection then begin
+      first_selection := false;
+      Obs.Metrics.set g_maxsat_set (float_of_int (List.length set))
     end;
     queue := Dqbf.Elimset.ordered_queue f set
   in
@@ -282,13 +198,11 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
           else begin
             let t0 = Budget.now () in
             let r = Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f) in
-            stats.unitpure_time <- stats.unitpure_time +. (Budget.now () -. t0);
-            Obs.Metrics.set_max g_unitpure_time stats.unitpure_time;
+            Obs.Metrics.observe h_unitpure_time (Budget.now () -. t0);
             match r with
             | `Unsat -> raise (Done Unsat)
             | `Eliminated n ->
-                stats.unitpure_elims <- stats.unitpure_elims + n;
-                Obs.Metrics.incr ~by:n m_unitpure_elims;
+                Obs.Metrics.incr ~by:n c_unitpure_elims;
                 true
             | `None -> false
           end
@@ -307,7 +221,6 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
               let k =
                 Obs.Span.with_ "elim.thm2" (fun () -> Dqbf.Elim.eliminate_full_existentials ?trail f)
               in
-              stats.exist_elims <- stats.exist_elims + k;
               if k > 0 then audit Check.Post_elimination
             end;
             if not (M.is_const (F.matrix f)) then begin
@@ -333,7 +246,6 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
                     raise Budget.Out_of_memory_budget
                   end;
                   Dqbf.Elim.universal ?trail f x;
-                  stats.univ_elims <- stats.univ_elims + 1;
                   audit ~queue:!queue Check.Post_elimination;
                   compact_or_fraig ()
               | None ->
@@ -397,8 +309,7 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
                           run_search budget)
                         ()
                 in
-                stats.qbf_time <- stats.qbf_time +. (Budget.now () -. t0);
-                Obs.Metrics.set_max g_qbf_time stats.qbf_time;
+                Obs.Metrics.observe h_qbf_time (Budget.now () -. t0);
                 raise (Done (if answer then Sat else Unsat))
           end
         end
@@ -411,142 +322,112 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
   | Sat, Some trail ->
       List.iter (fun (y, _) -> Dqbf.Model_trail.record_const trail y false) (F.existentials f)
   | _ -> ());
-  stats.degraded <- List.map Degrade.event_label (Degrade.events ledger);
-  (* per-solve view of the process-wide metric registry *)
-  let m_delta = Obs.Metrics.delta ~before:m_before ~after:(Obs.Metrics.snapshot ()) in
-  stats.checks_run <- metric_int m_delta "check.audits";
-  stats.sat_conflicts <- metric_int m_delta "sat.conflicts";
-  stats.sat_propagations <- metric_int m_delta "sat.propagations";
-  stats.fraig_merges <- metric_int m_delta "fraig.merges";
-  stats.metrics <- Obs.Metrics.to_assoc m_delta;
-  stats.total_time <- Budget.now () -. t_start;
-  (verdict, stats)
+  verdict
+
 
 (* one bounded restart: a mid-elimination memout (node limit, not the
    heap governor) retries the whole solve once with the degraded config
    before the memout is allowed to escape *)
-let solve_recoverable ~config ~budget ~trail f0 =
-  let t_start = Budget.now () in
-  let ledger = Degrade.create () in
+let solve_recoverable ~config ~budget ~trail ~ledger f0 =
   let mark = Option.map Dqbf.Model_trail.mark trail in
-  let verdict, stats =
-    try solve_impl ~config ~budget ~trail ~ledger ~restarts:0 f0
-    with Budget.Out_of_memory_budget
-    when config.restart_on_memout && not (Budget.expired budget)
-         && not (Budget.mem_exceeded budget) ->
-      rollback_opt trail mark;
-      Degrade.record ledger ~point:"solve" ~action:"restart-degraded" ~reason:Degrade.Node_limit;
-      solve_impl ~config:(degraded_config config) ~budget ~trail ~ledger ~restarts:1 f0
+  try solve_impl ~config ~budget ~trail ~ledger ~restarts:0 f0
+  with Budget.Out_of_memory_budget
+  when config.restart_on_memout && not (Budget.expired budget)
+       && not (Budget.mem_exceeded budget) ->
+    rollback_opt trail mark;
+    Degrade.record ledger ~point:"solve" ~action:"restart-degraded" ~reason:Degrade.Node_limit;
+    Obs.Metrics.incr c_restarts;
+    solve_impl ~config:(degraded_config config) ~budget ~trail ~ledger ~restarts:1 f0
+
+type stats = {
+  samples : Obs.Metrics.sample list;
+  peak_nodes : int;
+  degraded : string list;
+  cert_status : string;
+}
+
+let stats_of_samples ?(degraded = []) ?(cert_status = "-") samples =
+  let peak_nodes =
+    match Obs.Metrics.find samples "hqs.peak_nodes" with Some v -> int_of_float v | None -> 0
   in
-  stats.total_time <- Budget.now () -. t_start;
-  (verdict, stats)
+  { samples; peak_nodes; degraded; cert_status }
+
+let metric stats name = Option.value (Obs.Metrics.find stats.samples name) ~default:0.0
+
+(* every public entry point is one metric scope around [solve ledger]:
+   the scope's samples are the solve's statistics *)
+let scoped_solve solve =
+  let t0 = Budget.now () in
+  let ledger = Degrade.create () in
+  let result, samples =
+    Obs.Metrics.scoped (fun () ->
+        let result = solve ledger in
+        Obs.Metrics.observe h_total_time (Budget.now () -. t0);
+        result)
+  in
+  (result, stats_of_samples ~degraded:(List.map Degrade.event_label (Degrade.events ledger)) samples)
 
 let solve_formula ?(config = default_config) ?(budget = Budget.unlimited) f0 =
-  solve_recoverable ~config ~budget ~trail:None f0
+  scoped_solve (fun ledger -> solve_recoverable ~config ~budget ~trail:None ~ledger f0)
 
 let solve_formula_model ?(config = default_config) ?(budget = Budget.unlimited) f0 =
-  let trail = Dqbf.Model_trail.create () in
-  let verdict, stats = solve_recoverable ~config ~budget ~trail:(Some trail) f0 in
-  let model =
-    match verdict with
-    | Unsat -> None
-    | Sat ->
-        let skolem = Dqbf.Model_trail.reconstruct trail in
-        (* certify the witness against the original matrix before handing
-           it out: a wrong Skolem function here means some stage lied *)
-        if config.check_level = Check.Full then
-          Check.audit_model ~budget ~stage:Check.Post_solve f0 skolem;
-        Some (Dqbf.Skolem.restrict skolem ~keep:(Dqbf.Formula.is_existential f0))
+  let (verdict, model), stats =
+    scoped_solve @@ fun ledger ->
+    let trail = Dqbf.Model_trail.create () in
+    let verdict = solve_recoverable ~config ~budget ~trail:(Some trail) ~ledger f0 in
+    let model =
+      match verdict with
+      | Unsat -> None
+      | Sat ->
+          let skolem = Dqbf.Model_trail.reconstruct trail in
+          (* certify the witness against the original matrix before handing
+             it out: a wrong Skolem function here means some stage lied *)
+          if config.check_level = Check.Full then
+            Check.audit_model ~budget ~stage:Check.Post_solve f0 skolem;
+          Some (Dqbf.Skolem.restrict skolem ~keep:(Dqbf.Formula.is_existential f0))
+    in
+    (verdict, model)
   in
   (verdict, model, stats)
 
-(* Static dependency-scheme refinement (lib/analysis), the first pipeline
-   stage: prune spurious dependency edges on the prefixed CNF before any
-   AIG is built, so CNF preprocessing (universal reduction in particular),
-   the MaxSAT elimination-set selector and linearization all see the
-   smaller dependency graph. The soundness gate semantically validates a
-   sample of pruned edges at [Full] depth. *)
-let refine_pcnf ~(config : config) ~budget pcnf =
+(* The front of the pipeline. Static dependency-scheme refinement
+   (lib/analysis) comes first: it prunes spurious dependency edges on the
+   prefixed CNF before any AIG is built, so CNF preprocessing (universal
+   reduction in particular), the MaxSAT elimination-set selector and
+   linearization all see the smaller dependency graph; the soundness gate
+   semantically validates a sample of pruned edges at [Full] depth. Then
+   CNF preprocessing, whose inprocessing run is audited against the
+   refined CNF it consumed. [None] when preprocessing refutes. *)
+let preprocess_pcnf ~(config : config) ~budget ?trail pcnf =
   let refined, report = Analysis.Rp.analyze ~scheme:config.dep_scheme pcnf in
   Check.audit_dep_pruning ~budget ~level:config.check_level pcnf
     ~pruned:report.Analysis.Rp.pruned;
-  (refined, report)
-
-let record_analysis stats (report : Analysis.Rp.report) =
-  stats.dep_scheme <- Analysis.Scheme.name report.Analysis.Rp.scheme;
-  stats.analysis_edges_pruned <- List.length report.Analysis.Rp.pruned;
-  stats.analysis_linearized <- report.Analysis.Rp.linearized
-
-(* the inprocessing hook handed to [Dqbf.Preprocess.run]: audit the
-   engine run against the refined CNF it consumed, and capture the
-   result so its counters can be lifted into [stats] once those exist *)
-let inproc_hook ~(config : config) ~budget refined captured outcome =
-  Check.audit_inproc ~budget ~level:config.check_level refined outcome;
-  match outcome with
-  | Inproc.Simplified res -> captured := Some res
-  | Inproc.Unsat -> ()
-
-let record_inproc ~(config : config) stats captured =
-  stats.inproc_mode <- Inproc.mode_name config.preprocess.Dqbf.Preprocess.inproc;
-  match captured with
-  | None -> ()
-  | Some (res : Inproc.result) ->
-      let s = res.Inproc.stats in
-      stats.inproc_rounds <- s.Inproc.rounds;
-      stats.inproc_units <- s.Inproc.units;
-      stats.inproc_scc_merges <- s.Inproc.scc_merges;
-      stats.inproc_subsumed <- s.Inproc.subsumed;
-      stats.inproc_strengthened <- s.Inproc.strengthened;
-      stats.inproc_failed_lits <- s.Inproc.failed_lits;
-      stats.inproc_bve <- s.Inproc.bve_eliminated;
-      stats.inproc_clauses_removed <- max 0 (s.Inproc.clauses_before - s.Inproc.clauses_after);
-      stats.inproc_lits_removed <- max 0 (s.Inproc.lits_before - s.Inproc.lits_after)
+  let on_inproc = Check.audit_inproc ~budget ~level:config.check_level refined in
+  match
+    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ?trail
+      ~on_inproc refined
+  with
+  | Dqbf.Preprocess.Unsat -> None
+  | Dqbf.Preprocess.Formula (f, _) ->
+      Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
+      Some f
 
 let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
-  let refined, report = refine_pcnf ~config ~budget pcnf in
-  let captured = ref None in
-  let on_inproc = inproc_hook ~config ~budget refined captured in
-  match
-    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ~on_inproc
-      refined
-  with
-  | Dqbf.Preprocess.Unsat ->
-      let stats = fresh_stats () in
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      (Unsat, stats)
-  | Dqbf.Preprocess.Formula (f, pre) ->
-      Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-      let verdict, stats = solve_recoverable ~config ~budget ~trail:None f in
-      stats.pre_stats <- Some pre;
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      (verdict, stats)
+  scoped_solve @@ fun ledger ->
+  match preprocess_pcnf ~config ~budget pcnf with
+  | None -> Unsat
+  | Some f -> solve_recoverable ~config ~budget ~trail:None ~ledger f
 
 (* shared body of the model-producing entry points: the returned Skolem
    witness is unrestricted — it also covers variables the preprocessor
    folded away and undeclared existentials, so it certifies against the
    original (unpreprocessed) formula *)
-let solve_pcnf_witness ~config ~budget pcnf =
+let solve_pcnf_witness ~config ~budget ~ledger pcnf =
   let trail = Dqbf.Model_trail.create () in
-  let refined, report = refine_pcnf ~config ~budget pcnf in
-  let captured = ref None in
-  let on_inproc = inproc_hook ~config ~budget refined captured in
-  match
-    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ~trail
-      ~on_inproc refined
-  with
-  | Dqbf.Preprocess.Unsat ->
-      let stats = fresh_stats () in
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      (Unsat, None, stats)
-  | Dqbf.Preprocess.Formula (f, pre) ->
-      Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-      let verdict, stats = solve_recoverable ~config ~budget ~trail:(Some trail) f in
-      stats.pre_stats <- Some pre;
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
+  match preprocess_pcnf ~config ~budget ~trail pcnf with
+  | None -> (Unsat, None)
+  | Some f ->
+      let verdict = solve_recoverable ~config ~budget ~trail:(Some trail) ~ledger f in
       let model =
         match verdict with
         | Unsat -> None
@@ -557,46 +438,104 @@ let solve_pcnf_witness ~config ~budget pcnf =
                 skolem;
             Some skolem
       in
-      (verdict, model, stats)
+      (verdict, model)
 
 let restrict_to_declared pcnf skolem =
   let declared = Hqs_util.Bitset.of_list (List.map fst pcnf.Dqbf.Pcnf.exists) in
   Dqbf.Skolem.restrict skolem ~keep:(fun y -> Hqs_util.Bitset.mem y declared)
 
 let solve_pcnf_model ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
-  let verdict, model, stats = solve_pcnf_witness ~config ~budget pcnf in
+  let (verdict, model), stats =
+    scoped_solve (fun ledger -> solve_pcnf_witness ~config ~budget ~ledger pcnf)
+  in
   (verdict, Option.map (restrict_to_declared pcnf) model, stats)
 
 let solve_pcnf_certified ?(config = default_config) ?(budget = Budget.unlimited)
     ~instance_text pcnf =
-  let verdict, model, stats = solve_pcnf_witness ~config ~budget pcnf in
-  let cert =
-    match (verdict, model) with
-    | Sat, Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
-    | Sat, None ->
-        (* the witness entry point always reconstructs a model on Sat *)
-        assert false
-    | Unsat, _ -> Cert.of_unsat ~budget ~instance_text pcnf
+  let (verdict, cert, model), stats =
+    scoped_solve @@ fun ledger ->
+    let verdict, model = solve_pcnf_witness ~config ~budget ~ledger pcnf in
+    let cert =
+      match (verdict, model) with
+      | Sat, Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
+      | Sat, None ->
+          (* the witness entry point always reconstructs a model on Sat *)
+          assert false
+      | Unsat, _ -> Cert.of_unsat ~budget ~instance_text pcnf
+    in
+    (* audit before handing the artifact out: a failure here is the
+       recovery-loop trigger, raised as a Check.Violation *)
+    Check.audit_certificate ~budget ~level:config.check_level ~instance_text pcnf cert;
+    (verdict, cert, model)
   in
-  stats.cert_status <- Cert.status cert;
-  (* audit before handing the artifact out: a failure here is the
-     recovery-loop trigger, raised as a Check.Violation *)
-  Check.audit_certificate ~budget ~level:config.check_level ~instance_text pcnf cert;
-  (verdict, cert, Option.map (restrict_to_declared pcnf) model, stats)
+  ( verdict,
+    cert,
+    Option.map (restrict_to_declared pcnf) model,
+    { stats with cert_status = Cert.status cert } )
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "univ-elims=%d exist-elims=%d unit/pure=%d maxsat-runs=%d maxsat-set=%d maxsat-time=%.3fs \
-     unitpure-time=%.3fs qbf-time=%.3fs peak-nodes=%d sat-conflicts=%d sat-propagations=%d \
-     fraig-merges=%d checks=%d check-level=%s total=%.3fs restarts=%d degraded=%s \
-     dep-scheme=%s dep-pruned=%d linearized=%b inproc=%s inproc-rounds=%d inproc-units=%d \
-     inproc-merges=%d inproc-subsumed=%d inproc-strengthened=%d inproc-failed-lits=%d \
-     inproc-bve=%d inproc-clauses-removed=%d inproc-lits-removed=%d cert=%s"
-    s.univ_elims s.exist_elims s.unitpure_elims s.maxsat_runs s.maxsat_set_size s.maxsat_time
-    s.unitpure_time s.qbf_time s.peak_nodes s.sat_conflicts s.sat_propagations s.fraig_merges
-    s.checks_run s.check_level s.total_time s.restarts
-    (match s.degraded with [] -> "-" | l -> String.concat "," l)
-    s.dep_scheme s.analysis_edges_pruned s.analysis_linearized s.inproc_mode s.inproc_rounds
-    s.inproc_units s.inproc_scc_merges s.inproc_subsumed s.inproc_strengthened
-    s.inproc_failed_lits s.inproc_bve s.inproc_clauses_removed s.inproc_lits_removed
-    s.cert_status
+(* where one reported statistic lives *)
+type source =
+  | Count of string (* a counter or gauge of the solve's samples *)
+  | Secs of string (* the sum of a timing histogram *)
+  | Flag of string (* a 0/1 counter *)
+  | Echo of (config -> string) (* a setting of the run's config *)
+  | Field of (stats -> string) (* kept outside the registry *)
+
+(* The one table behind every rendering of [stats]: the [--stats] key,
+   the CSV column ("" when the CSV has none) and the source, in
+   [--stats] order. *)
+let table =
+  [
+    ("univ-elims", "hqs_univ_elims", Count "elim.universal");
+    ("exist-elims", "hqs_exist_elims", Count "elim.existential");
+    ("unit/pure", "hqs_unitpure_elims", Count "hqs.unitpure_elims");
+    ("maxsat-runs", "", Count "hqs.maxsat_time_s.count");
+    ("maxsat-set", "hqs_maxsat_set", Count "hqs.maxsat_set");
+    ("maxsat-time", "hqs_maxsat_time", Secs "hqs.maxsat_time_s");
+    ("unitpure-time", "", Secs "hqs.unitpure_time_s");
+    ("qbf-time", "hqs_qbf_time", Secs "hqs.qbf_time_s");
+    ("peak-nodes", "hqs_peak_nodes", Count "hqs.peak_nodes");
+    ("sat-conflicts", "hqs_sat_conflicts", Count "sat.conflicts");
+    ("sat-propagations", "hqs_sat_propagations", Count "sat.propagations");
+    ("fraig-merges", "hqs_fraig_merges", Count "fraig.merges");
+    ("checks", "hqs_checks", Count "check.audits");
+    ("check-level", "", Echo (fun c -> Check.level_name c.check_level));
+    ("total", "", Secs "hqs.total_time_s");
+    ("restarts", "hqs_restarts", Count "hqs.restarts");
+    ("degraded", "", Field (fun s -> match s.degraded with [] -> "-" | l -> String.concat "," l));
+    ("dep-scheme", "hqs_dep_scheme", Echo (fun c -> Analysis.Scheme.name c.dep_scheme));
+    ("dep-pruned", "hqs_analysis_edges_pruned", Count "analysis.edges_pruned");
+    ("linearized", "hqs_analysis_linearized", Flag "analysis.linearized");
+    ( "inproc",
+      "hqs_inproc_mode",
+      Echo (fun c -> Inproc.mode_name c.preprocess.Dqbf.Preprocess.inproc) );
+    ("inproc-rounds", "hqs_inproc_rounds", Count "inproc.rounds");
+    ("inproc-units", "hqs_inproc_units", Count "inproc.units");
+    ("inproc-merges", "hqs_inproc_scc_merges", Count "inproc.scc_merges");
+    ("inproc-subsumed", "hqs_inproc_subsumed", Count "inproc.subsumed");
+    ("inproc-strengthened", "hqs_inproc_strengthened", Count "inproc.strengthened");
+    ("inproc-failed-lits", "hqs_inproc_failed_lits", Count "inproc.failed_lits");
+    ("inproc-bve", "hqs_inproc_bve", Count "inproc.bve_eliminated");
+    ("inproc-clauses-removed", "hqs_inproc_clauses_removed", Count "inproc.clauses_removed");
+    ("inproc-lits-removed", "hqs_inproc_lits_removed", Count "inproc.lits_removed");
+    ("cert", "hqs_cert_status", Field (fun s -> s.cert_status));
+  ]
+
+let render ~csv config stats = function
+  | Count name -> string_of_int (int_of_float (metric stats name))
+  | Secs name -> Printf.sprintf (if csv then "%.3f" else "%.3fs") (metric stats (name ^ ".sum"))
+  | Flag name ->
+      let on = metric stats name > 0.0 in
+      if not csv then string_of_bool on else if on then "1" else "0"
+  | Echo f -> f config
+  | Field f -> f stats
+
+let stats_cell config stats column =
+  match List.find_opt (fun (_, col, _) -> col <> "" && String.equal col column) table with
+  | Some (_, _, source) -> render ~csv:true config stats source
+  | None -> invalid_arg ("Hqs.stats_cell: no CSV column " ^ column)
+
+let pp_stats config fmt stats =
+  Format.pp_print_string fmt
+    (String.concat " "
+       (List.map (fun (key, _, source) -> key ^ "=" ^ render ~csv:false config stats source) table))

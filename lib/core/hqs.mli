@@ -83,56 +83,43 @@ val degraded_config : config -> config
     not grow the AIG. *)
 
 type stats = {
-  mutable pre_stats : Dqbf.Preprocess.stats option;
-  mutable univ_elims : int;
-  mutable exist_elims : int;
-  mutable unitpure_elims : int;
-  mutable maxsat_runs : int;
-  mutable maxsat_set_size : int;  (** size of the first elimination set *)
-  mutable maxsat_time : float;
-  mutable unitpure_time : float;
-  mutable qbf_time : float;
-  mutable peak_nodes : int;
-  mutable total_time : float;
-  mutable restarts : int;  (** degraded restarts taken (0 or 1) *)
-  mutable degraded : string list;
+  samples : Obs.Metrics.sample list;
+      (** the solve's metric scope ({!Obs.Metrics.scoped}), sorted by
+          name — the only store of its counts and timings. Counters and
+          histogram count/sum are deltas over the solve; gauges and
+          histogram min/max are values set during it, so a solve never
+          reports a peak of an earlier one. The scope covers the whole
+          entry point: analysis, preprocessing, every attempt of the core
+          solve (a degraded restart included), the model audit and, for
+          {!solve_pcnf_certified}, the certificate. The [hqs.*] series:
+          - [hqs.peak_nodes]: the largest AIG seen (gauge);
+          - [hqs.maxsat_set]: size of the first elimination set of the
+            last attempt (gauge);
+          - [hqs.restarts]: degraded restarts taken, 0 or 1;
+          - [hqs.unitpure_elims]: variables removed by unit/pure rounds;
+          - [hqs.maxsat_time_s], [hqs.unitpure_time_s],
+            [hqs.qbf_time_s], [hqs.total_time_s]: timing histograms; the
+            count of [hqs.maxsat_time_s] is the number of set
+            selections. *)
+  peak_nodes : int;  (** [hqs.peak_nodes] of [samples] *)
+  degraded : string list;
       (** chronological degradation labels, e.g.
           ["maxsat.minset->greedy[timeout]"; "solve->restart-degraded[node-limit]"];
           empty when every stage ran at full strength *)
-  mutable check_level : string;  (** the auditor depth this solve ran under *)
-  mutable checks_run : int;  (** stage audits executed (see {!Check}) *)
-  mutable sat_conflicts : int;  (** CDCL conflicts across every embedded SAT call *)
-  mutable sat_propagations : int;
-  mutable fraig_merges : int;  (** equivalence classes collapsed by FRAIG sweeping *)
-  mutable dep_scheme : string;
-      (** the dependency scheme the prefix was refined under (["trivial"]
-          for the [solve_formula] entry points, which skip the analyzer) *)
-  mutable analysis_edges_pruned : int;
-      (** dependency edges removed by the static analyzer *)
-  mutable analysis_linearized : bool;
-      (** the analyzer alone made the dependency graph linearly orderable
-          — the solve skipped universal expansion *)
-  mutable inproc_mode : string;
-      (** the {!Inproc} engine mode the solve ran under (["off"] when the
-          legacy preprocessing fixpoint was used) *)
-  mutable inproc_rounds : int;  (** engine fixpoint rounds *)
-  mutable inproc_units : int;  (** units propagated by the engine *)
-  mutable inproc_scc_merges : int;  (** BIG/SCC equivalence substitutions *)
-  mutable inproc_subsumed : int;  (** clauses removed by subsumption *)
-  mutable inproc_strengthened : int;  (** literals struck by self-subsumption *)
-  mutable inproc_failed_lits : int;  (** failed literals found by BIG probing *)
-  mutable inproc_bve : int;  (** existentials removed by Henkin-legal BVE *)
-  mutable inproc_clauses_removed : int;  (** net clause reduction by the engine *)
-  mutable inproc_lits_removed : int;  (** net literal reduction by the engine *)
-  mutable cert_status : string;
+  cert_status : string;
       (** certificate outcome of a {!solve_pcnf_certified} run: ["SAT"],
           ["UNSAT"], ["UNCERTIFIED"], or ["-"] when no artifact was
           requested *)
-  mutable metrics : (string * float) list;
-      (** full per-solve snapshot of the {!Obs.Metrics} registry (counters
-          and histogram series as deltas over the solve, gauges as final
-          values), sorted by name — the source for the harness CSV columns *)
 }
+
+val stats_of_samples :
+  ?degraded:string list -> ?cert_status:string -> Obs.Metrics.sample list -> stats
+(** Rebuild stats from samples, e.g. decoded from another process or
+    salvaged from a killed one. [degraded] defaults to [[]],
+    [cert_status] to ["-"]. *)
+
+val metric : stats -> string -> float
+(** The value of one sample by name; 0 when absent. *)
 
 val solve_formula :
   ?config:config -> ?budget:Hqs_util.Budget.t -> Dqbf.Formula.t -> verdict * stats
@@ -178,4 +165,18 @@ val solve_pcnf_certified :
     {!Check.Violation} at the [Post_certify] stage, which callers treat
     like a crash (re-solve escalated, evict caches, quarantine). *)
 
-val pp_stats : Format.formatter -> stats -> unit
+(** {2 Rendering}
+
+    One table maps every reported statistic to its [--stats] key, its
+    [hqs_*] CSV column and where its value lives: a sample, a field of
+    {!stats}, or a setting of the run's {!config} (the [check-level],
+    [dep-scheme] and [inproc] echoes). *)
+
+val pp_stats : config -> Format.formatter -> stats -> unit
+(** The [--stats] line: [key=value] pairs separated by spaces, with
+    config echoes taken from [config], the config the solve ran under. *)
+
+val stats_cell : config -> stats -> string -> string
+(** [stats_cell config stats column] is the cell of one [hqs_*] CSV
+    column (e.g. ["hqs_peak_nodes"]).
+    @raise Invalid_argument when no statistic has that column. *)

@@ -163,7 +163,9 @@ let run_child config worker payload fd ~task_id ~attempt ~trace_id ~parent_span 
   (* a SIGKILL (wall/chaos) gives no chance to reply, so every span exit
      flushes a throttled partial frame: latest metric delta plus the span
      buffer so far. The parent keeps only the newest one, and only uses
-     it when no final frame arrives. *)
+     it when no final frame arrives. The flushes run inside the worker's
+     metric scope below, so their gauge levels are this task's own, not
+     peaks the supervisor absorbed before the fork. *)
   let last_flush = ref (Clock.now ()) in
   Obs.Span.set_flush_hook
     (Some
@@ -183,9 +185,10 @@ let run_child config worker payload fd ~task_id ~attempt ~trace_id ~parent_span 
     [ ("trace_id", Obs.Str trace_id); ("parent_span", Obs.Str parent_span) ]
   in
   let run () = Obs.Span.with_ "sup.child" ~attrs:root_attrs (fun () -> worker payload) in
-  let result = match run () with v -> Ok v | exception e -> Error e in
+  let result, delta =
+    Obs.Metrics.scoped (fun () -> match run () with v -> Ok v | exception e -> Error e)
+  in
   Obs.Span.set_flush_hook None;
-  let delta = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ()) in
   let with_obs fields = Json.Obj (fields @ [ ("metrics", samples_to_json delta) ] @ trace_fields ()) in
   let frame =
     match result with

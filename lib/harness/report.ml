@@ -169,62 +169,57 @@ let json_int_cell = function Some n -> string_of_int n | None -> "null"
 let json_bool_cell = function Some b -> string_of_bool b | None -> "null"
 
 (* stable CSV schema: base columns first, then the per-solve metric
-   columns in this fixed order. Rows whose solve did not finish (TO/MO
-   before a verdict) leave the metric cells empty rather than shifting
-   the layout. *)
+   columns in this fixed order; {!Hqs.stats_cell} renders each cell.
+   Rows without stats (a crash, or a TO/MO that salvaged nothing) leave
+   these cells empty rather than shifting the layout. *)
 let csv_metric_columns =
   [
-    ("hqs_restarts", fun (s : Hqs.stats) -> string_of_int s.Hqs.restarts);
-    ("hqs_peak_nodes", fun s -> string_of_int s.Hqs.peak_nodes);
-    ("hqs_univ_elims", fun s -> string_of_int s.Hqs.univ_elims);
-    ("hqs_exist_elims", fun s -> string_of_int s.Hqs.exist_elims);
-    ("hqs_unitpure_elims", fun s -> string_of_int s.Hqs.unitpure_elims);
-    ("hqs_maxsat_set", fun s -> string_of_int s.Hqs.maxsat_set_size);
-    ("hqs_maxsat_time", fun s -> Printf.sprintf "%.3f" s.Hqs.maxsat_time);
-    ("hqs_qbf_time", fun s -> Printf.sprintf "%.3f" s.Hqs.qbf_time);
-    ("hqs_sat_conflicts", fun s -> string_of_int s.Hqs.sat_conflicts);
-    ("hqs_sat_propagations", fun s -> string_of_int s.Hqs.sat_propagations);
-    ("hqs_fraig_merges", fun s -> string_of_int s.Hqs.fraig_merges);
-    ("hqs_checks", fun s -> string_of_int s.Hqs.checks_run);
+    "hqs_restarts";
+    "hqs_peak_nodes";
+    "hqs_univ_elims";
+    "hqs_exist_elims";
+    "hqs_unitpure_elims";
+    "hqs_maxsat_set";
+    "hqs_maxsat_time";
+    "hqs_qbf_time";
+    "hqs_sat_conflicts";
+    "hqs_sat_propagations";
+    "hqs_fraig_merges";
+    "hqs_checks";
   ]
 
 (* the static-analysis columns ride behind the executor block (again so
-   the pre-existing columns keep their byte positions); cells are empty
-   for runs without stats, like the metric block *)
-let csv_analysis_columns =
+   the pre-existing columns keep their byte positions), then the
+   inprocessing-engine columns, then certification: new columns only
+   ever ride at the end *)
+let csv_late_columns =
   [
-    ("hqs_dep_scheme", fun (s : Hqs.stats) -> s.Hqs.dep_scheme);
-    ("hqs_analysis_edges_pruned", fun s -> string_of_int s.Hqs.analysis_edges_pruned);
-    ("hqs_analysis_linearized", fun s -> if s.Hqs.analysis_linearized then "1" else "0");
+    "hqs_dep_scheme";
+    "hqs_analysis_edges_pruned";
+    "hqs_analysis_linearized";
+    "hqs_inproc_mode";
+    "hqs_inproc_rounds";
+    "hqs_inproc_units";
+    "hqs_inproc_scc_merges";
+    "hqs_inproc_subsumed";
+    "hqs_inproc_strengthened";
+    "hqs_inproc_failed_lits";
+    "hqs_inproc_bve";
+    "hqs_inproc_clauses_removed";
+    "hqs_inproc_lits_removed";
+    "hqs_cert_status";
   ]
 
-(* the inprocessing-engine columns append after the analysis block, same
-   stable-schema rule: new columns only ever ride at the end *)
-let csv_inproc_columns =
-  [
-    ("hqs_inproc_mode", fun (s : Hqs.stats) -> s.Hqs.inproc_mode);
-    ("hqs_inproc_rounds", fun s -> string_of_int s.Hqs.inproc_rounds);
-    ("hqs_inproc_units", fun s -> string_of_int s.Hqs.inproc_units);
-    ("hqs_inproc_scc_merges", fun s -> string_of_int s.Hqs.inproc_scc_merges);
-    ("hqs_inproc_subsumed", fun s -> string_of_int s.Hqs.inproc_subsumed);
-    ("hqs_inproc_strengthened", fun s -> string_of_int s.Hqs.inproc_strengthened);
-    ("hqs_inproc_failed_lits", fun s -> string_of_int s.Hqs.inproc_failed_lits);
-    ("hqs_inproc_bve", fun s -> string_of_int s.Hqs.inproc_bve);
-    ("hqs_inproc_clauses_removed", fun s -> string_of_int s.Hqs.inproc_clauses_removed);
-    ("hqs_inproc_lits_removed", fun s -> string_of_int s.Hqs.inproc_lits_removed);
-  ]
-
-let csv results =
+let csv ~config results =
   let buf = Buffer.create 1024 in
+  let header columns = List.iter (fun name -> Buffer.add_string buf ("," ^ name)) columns in
   Buffer.add_string buf "id,family,hqs_outcome,hqs_time,idq_outcome,idq_time,hqs_degraded,check";
-  List.iter (fun (name, _) -> Buffer.add_string buf ("," ^ name)) csv_metric_columns;
+  header csv_metric_columns;
   (* executor columns, appended after the metric block so every
      pre-existing column keeps its position byte-for-byte *)
   Buffer.add_string buf ",outcome,attempts,worker_pid";
-  List.iter (fun (name, _) -> Buffer.add_string buf ("," ^ name)) csv_analysis_columns;
-  List.iter (fun (name, _) -> Buffer.add_string buf ("," ^ name)) csv_inproc_columns;
-  (* certification columns, last per the stable-schema rule *)
-  Buffer.add_string buf ",hqs_cert_status,cert";
+  header csv_late_columns;
+  Buffer.add_string buf ",cert";
   Buffer.add_char buf '\n';
   let cells = function
     | Solved (true, t) -> ("SAT", t)
@@ -244,30 +239,24 @@ let csv results =
       let ho, ht = cells r.hqs and io, it = cells r.idq in
       let degr = match r.hqs_degraded with [] -> "-" | l -> String.concat ";" l in
       let chk = match r.soundness with Consistent -> "ok" | Disagreement _ -> "DISAGREE" in
+      let stats_cells columns =
+        List.iter
+          (fun column ->
+            Buffer.add_char buf ',';
+            match r.hqs_stats with
+            | Some s -> Buffer.add_string buf (Hqs.stats_cell config s column)
+            | None -> ())
+          columns
+      in
       Buffer.add_string buf
         (Printf.sprintf "%s,%s,%s,%.3f,%s,%.3f,%s,%s" r.id r.family ho ht io it degr chk);
-      List.iter
-        (fun (_, cell) ->
-          Buffer.add_char buf ',';
-          match r.hqs_stats with Some s -> Buffer.add_string buf (cell s) | None -> ())
-        csv_metric_columns;
+      stats_cells csv_metric_columns;
       Buffer.add_string buf
         (Printf.sprintf ",%s,%d,%s" (classify r.hqs) r.attempts
            (match r.worker_pid with Some p -> string_of_int p | None -> ""));
-      List.iter
-        (fun (_, cell) ->
-          Buffer.add_char buf ',';
-          match r.hqs_stats with Some s -> Buffer.add_string buf (cell s) | None -> ())
-        csv_analysis_columns;
-      List.iter
-        (fun (_, cell) ->
-          Buffer.add_char buf ',';
-          match r.hqs_stats with Some s -> Buffer.add_string buf (cell s) | None -> ())
-        csv_inproc_columns;
+      stats_cells csv_late_columns;
       Buffer.add_string buf
-        (Printf.sprintf ",%s,%s"
-           (match r.hqs_stats with Some s -> s.Hqs.cert_status | None -> "")
-           (match r.cert_path with Some p -> p | None -> ""));
+        ("," ^ match r.cert_path with Some p -> p | None -> "");
       Buffer.add_char buf '\n')
     results;
   Buffer.contents buf

@@ -16,8 +16,10 @@ val json_bool_cell : bool option -> string
 val table1 : Runner.result list -> string
 val fig4 : ?timeout:float -> Runner.result list -> string
 val headline : Runner.result list -> string
-val csv : Runner.result list -> string
-(** One line per instance: id, family, solver outcomes and times, the
+val csv : config:Hqs.config -> Runner.result list -> string
+(** [csv ~config results], where [config] is the config every HQS solve
+    ran under (it supplies the [hqs_dep_scheme] and [hqs_inproc_mode]
+    echoes). One line per instance: id, family, solver outcomes and times, the
     degradation/soundness columns, then a fixed set of per-solve metric
     columns ([hqs_restarts], [hqs_peak_nodes], elimination counts, stage
     times, SAT conflict/propagation counts, FRAIG merges, audits run),
@@ -32,6 +34,7 @@ val csv : Runner.result list -> string
     [hqs_inproc_lits_removed], then the certification columns
     [hqs_cert_status] (SAT/UNSAT/UNCERTIFIED, ["-"] when no artifact was
     requested) and [cert] (the artifact path from a certifying sweep).
-    The pre-existing columns keep their positions byte-for-byte; metric,
-    analysis, inproc and certification cells are empty for runs that
-    timed or memed out before a verdict. *)
+    The pre-existing columns keep their positions byte-for-byte. Every
+    [hqs_*] cell comes from the row's {!Hqs.stats} through
+    {!Hqs.stats_cell}; they are empty for rows without stats (a crash,
+    or a timeout/memout that salvaged no metrics). *)

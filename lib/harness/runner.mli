@@ -29,9 +29,10 @@ type result = {
       (** degradation labels from {!Hqs.stats} (empty when every stage ran
           at full strength, or when the run did not finish) *)
   hqs_stats : Hqs.stats option;
-      (** full solve statistics, [None] when the run timed or memed out
-          before producing a verdict — the source of the metric columns in
-          {!Report.csv} *)
+      (** full solve statistics — the source of the [hqs_*] columns in
+          {!Report.csv}. [None] when the run did not finish, except that a
+          supervised sweep ({!Sweep}) rebuilds them for a timeout or
+          memout from the killed worker's salvaged samples *)
   soundness : soundness;
   attempts : int;
       (** worker processes spawned for the HQS solve under the supervised

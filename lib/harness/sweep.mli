@@ -19,7 +19,8 @@
 type config = {
   timeout : float;  (** per-solve wall budget (in-process, as before) *)
   node_limit : int;  (** per-solve AIG node budget *)
-  hqs_config : Hqs.config option;
+  hqs_config : Hqs.config;
+      (** the config of every HQS solve, and of the CSV echoes of it *)
   exec : Exec.Supervisor.config;  (** jobs, kernel limits, retries, chaos *)
   certify_dir : string option;
       (** when set, each HQS worker solves through
@@ -30,8 +31,9 @@ type config = {
 }
 
 val default_config : timeout:float -> node_limit:int -> config
-(** In-process budgets as given; executor at {!Exec.Supervisor.default_config}
-    (1 job, no kernel limits, 3 attempts). *)
+(** In-process budgets as given; {!Hqs.default_config}; executor at
+    {!Exec.Supervisor.default_config} (1 job, no kernel limits, 3
+    attempts). *)
 
 type progress = {
   task : string;  (** ["<instance>/hqs"] or ["<instance>/idq"] *)
@@ -73,8 +75,10 @@ val run :
     fully-journaled sweep that forks nothing.
 
     The [attempts]/[worker_pid] of each {!Runner.result} come from the
-    instance's HQS task. [Hqs.stats.pre_stats] does not survive the
-    process boundary (always [None] here). *)
+    instance's HQS task. A clean HQS task ships its {!Hqs.stats} as
+    samples plus labels; a timeout or memout kill rebuilds them from the
+    worker's salvaged samples (no degradation labels, [cert_status]
+    ["-"]). *)
 
 val run_instances :
   ?config:config ->
@@ -92,5 +96,10 @@ val outcome_of_json : Obs.Json.t -> Runner.outcome option
 val stats_to_json : Hqs.stats -> Obs.Json.t
 val stats_of_json : Obs.Json.t -> Hqs.stats option
 (** Wire codecs, exposed for tests. *)
+
+val stats_of_completion : Exec.Supervisor.completion -> Hqs.stats option
+(** The HQS stats of one supervised task: decoded from a clean frame,
+    rebuilt from salvaged samples on a timeout/memout, [None] on a
+    crash. Exposed for tests. *)
 
 (**/**)

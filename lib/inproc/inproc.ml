@@ -119,6 +119,7 @@ exception Refuted
 (* ------------------------------------------------------------- metrics *)
 
 let c_runs = Obs.Metrics.counter "inproc.runs"
+let c_rounds = Obs.Metrics.counter "inproc.rounds"
 let c_units = Obs.Metrics.counter "inproc.units"
 let c_merges = Obs.Metrics.counter "inproc.scc_merges"
 let c_subsumed = Obs.Metrics.counter "inproc.subsumed"
@@ -821,6 +822,7 @@ let run ?config (p : problem) =
           vars_after = Hashtbl.length st.deps + Bitset.cardinal st.univs;
         }
       in
+      Obs.Metrics.incr ~by:rounds c_rounds;
       Obs.Metrics.incr ~by:st.units c_units;
       Obs.Metrics.incr ~by:st.scc_merges c_merges;
       Obs.Metrics.incr ~by:st.subsumed c_subsumed;

@@ -50,11 +50,15 @@ module Metrics = struct
   type counter = { mutable c : int }
   type gauge = { mutable g : float; mutable g_set : bool }
 
+  (* [g_set]/[h_set]: a level (gauge value, histogram min/max) was set
+     since registration, [reset_all] or the entry of the innermost
+     [scoped] run *)
   type histogram = {
     mutable n : int;
     mutable sum : float;
     mutable mn : float;
     mutable mx : float;
+    mutable h_set : bool;
   }
 
   type entry = C of counter | G of gauge | H of histogram
@@ -89,7 +93,7 @@ module Metrics = struct
   let histogram name =
     register name
       (fun () ->
-        let h = { n = 0; sum = 0.0; mn = 0.0; mx = 0.0 } in
+        let h = { n = 0; sum = 0.0; mn = 0.0; mx = 0.0; h_set = false } in
         (h, H h))
       (function H h -> Some h | C _ | G _ -> None)
 
@@ -103,15 +107,20 @@ module Metrics = struct
   let set_max g v = if (not g.g_set) || v > g.g then set g v
   let gauge_value g = g.g
 
-  let observe h v =
-    if h.n = 0 then begin
-      h.mn <- v;
-      h.mx <- v
+  (* widen the min/max levels of [h] to cover [lo, hi] *)
+  let widen h lo hi =
+    if not h.h_set then begin
+      h.mn <- lo;
+      h.mx <- hi;
+      h.h_set <- true
     end
     else begin
-      if v < h.mn then h.mn <- v;
-      if v > h.mx then h.mx <- v
-    end;
+      if lo < h.mn then h.mn <- lo;
+      if hi > h.mx then h.mx <- hi
+    end
+
+  let observe h v =
+    widen h v v;
     h.n <- h.n + 1;
     h.sum <- h.sum +. v
 
@@ -208,7 +217,8 @@ module Metrics = struct
             h.n <- 0;
             h.sum <- 0.0;
             h.mn <- 0.0;
-            h.mx <- 0.0)
+            h.mx <- 0.0;
+            h.h_set <- false)
       registry;
     Hashtbl.iter
       (fun _ w ->
@@ -240,7 +250,7 @@ module Metrics = struct
       match Hashtbl.find_opt hists base with
       | Some h -> h
       | None ->
-          let h = { n = 0; sum = 0.0; mn = nan; mx = nan } in
+          let h = { n = 0; sum = 0.0; mn = nan; mx = nan; h_set = false } in
           Hashtbl.replace hists base h;
           h
     in
@@ -266,18 +276,59 @@ module Metrics = struct
       (fun base part ->
         if part.n > 0 then begin
           let h = histogram base in
-          if h.n = 0 then begin
-            h.mn <- part.mn;
-            h.mx <- part.mx
-          end
-          else begin
-            if part.mn < h.mn then h.mn <- part.mn;
-            if part.mx > h.mx then h.mx <- part.mx
-          end;
+          widen h part.mn part.mx;
           h.n <- h.n + part.n;
           h.sum <- h.sum +. part.sum
         end)
       hists
+
+  (* Open a scope over every level in the registry: clear each gauge and
+     histogram min/max, and return the closure that merges the scope's
+     levels back into the saved outer ones by the [absorb] rule (gauges
+     keep the maximum, min/max widen). Flows (counters, histogram
+     count/sum) are never touched: callers outside the scope take their
+     own deltas across it. *)
+  let open_levels () =
+    Hashtbl.fold
+      (fun _ entry restores ->
+        match entry with
+        | C _ -> restores
+        | G g ->
+            let v0 = g.g and set0 = g.g_set in
+            g.g <- 0.0;
+            g.g_set <- false;
+            (fun () ->
+              let v = g.g and set = g.g_set in
+              g.g <- v0;
+              g.g_set <- set0;
+              if set then set_max g v)
+            :: restores
+        | H h ->
+            let mn0 = h.mn and mx0 = h.mx and set0 = h.h_set in
+            h.mn <- 0.0;
+            h.mx <- 0.0;
+            h.h_set <- false;
+            (fun () ->
+              let mn = h.mn and mx = h.mx and set = h.h_set in
+              h.mn <- mn0;
+              h.mx <- mx0;
+              h.h_set <- set0;
+              if set then widen h mn mx)
+            :: restores)
+      registry []
+
+  let scoped f =
+    let before = snapshot () in
+    let restores = open_levels () in
+    let close () = List.iter (fun restore -> restore ()) restores in
+    match f () with
+    | v ->
+        let samples = delta ~before ~after:(snapshot ()) in
+        close ();
+        (v, samples)
+    | exception e ->
+        close ();
+        raise e
 end
 
 (* ------------------------------------------------------------------- json *)

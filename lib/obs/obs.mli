@@ -37,7 +37,8 @@ module Metrics : sig
   val set : gauge -> float -> unit
 
   val set_max : gauge -> float -> unit
-  (** Keep the maximum of all values set so far (peak tracking). *)
+  (** Keep the maximum of all values set so far in the innermost
+      {!scoped} run, or in the process outside any (peak tracking). *)
 
   val gauge_value : gauge -> float
 
@@ -78,7 +79,25 @@ module Metrics : sig
   val delta : before:sample list -> after:sample list -> sample list
   (** Per-interval view: counters and histogram count/sum series are
       subtracted ([after - before]); gauges and histogram min/max are
-      levels, not flows, and pass through unchanged. *)
+      levels, not flows, and pass through unchanged — so they describe
+      the interval only when it runs inside a {!scoped} run. *)
+
+  val scoped : (unit -> 'a) -> 'a * sample list
+  (** [scoped f] runs [f] as one metric scope and returns its samples,
+      one per instrument as in {!snapshot}:
+      - counters and histogram count/sum are deltas over the run; they
+        are never reset, so a caller outside the scope can still take
+        its own {!delta} across it;
+      - gauges and histogram min/max report only values set inside the
+        run (0 when nothing was set there). While the run is open, every
+        reader ({!snapshot}, {!gauge_value}, {!histogram_stats}) sees
+        these scope-local levels.
+
+      On exit, normal or by exception, the scope's levels merge into the
+      enclosing ones by the {!absorb} rule: gauges keep the maximum and
+      min/max widen. Process-wide readers therefore see the same levels
+      as without the scope. Scopes nest; an exception from [f] propagates
+      and its samples are dropped. *)
 
   val to_assoc : sample list -> (string * float) list
   val find : sample list -> string -> float option

@@ -126,7 +126,6 @@ let worker_main (config : config) fd =
               | None -> budget
             in
             if sleep_s > 0. then Unix.sleepf sleep_s;
-            let before = Metrics.snapshot () in
             let ev_mark = List.length (Obs.Trace.events ()) in
             let solver =
               (* escalated re-solve after a certificate audit failure:
@@ -176,7 +175,10 @@ let worker_main (config : config) fd =
                       ~attrs:[ ("jid", Obs.Int jid); ("trace_id", Obs.Str id) ]
                       solve
             in
-            let result, retiring, cert_blob =
+            (* one metric scope per request: a persistent worker must not
+               report an earlier request's peaks as this one's *)
+            let (result, retiring, cert_blob), samples =
+              Metrics.scoped @@ fun () ->
               match solve () with
               | r -> r
               | exception Budget.Timeout -> (Proto.W_timeout, false, None)
@@ -192,7 +194,6 @@ let worker_main (config : config) fd =
                     false,
                     None )
             in
-            let samples = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
             let w_events =
               if trace = None then [] else list_drop ev_mark (Obs.Trace.events ())
             in

@@ -185,7 +185,7 @@ let prop_solver_agreement =
       in
       let v_triv, s_triv = solve Scheme.Trivial in
       let v_rp, s_rp = solve Scheme.Rp in
-      v_triv = v_rp && s_rp.Hqs.maxsat_set_size <= s_triv.Hqs.maxsat_set_size)
+      v_triv = v_rp && Hqs.metric s_rp "hqs.maxsat_set" <= Hqs.metric s_triv "hqs.maxsat_set")
 
 let () =
   Alcotest.run "analysis"

@@ -17,6 +17,7 @@ let verdict_t =
       match (a, b) with Hqs.Sat, Hqs.Sat | Hqs.Unsat, Hqs.Unsat -> true | _ -> false)
 
 let degraded_mem label stats = List.mem label stats.Hqs.degraded
+let restarts stats = int_of_float (Hqs.metric stats "hqs.restarts")
 
 let chaos points = Chaos.create ~seed:42 ~points ()
 
@@ -45,7 +46,7 @@ let test_injected_maxsat () =
   let v, stats = Hqs.solve_formula ~config (example1 ~crossed:false) in
   Alcotest.check verdict_t "still sat" Hqs.Sat v;
   check "fell back to greedy" true (degraded_mem "maxsat.minset->greedy[injected]" stats);
-  check_int "no restart" 0 stats.Hqs.restarts;
+  check_int "no restart" 0 (restarts stats);
   (* the verdict survives on the UNSAT side too *)
   let v, stats = Hqs.solve_formula ~config:{ config with chaos = chaos [ "maxsat.minset" ] }
       (example1 ~crossed:true) in
@@ -62,7 +63,7 @@ let test_injected_fraig () =
   let v, stats = Hqs.solve_formula ~config (example1 ~crossed:false) in
   Alcotest.check verdict_t "still sat" Hqs.Sat v;
   check "fell back to compact" true (degraded_mem "fraig.sweep->compact[injected]" stats);
-  check_int "no restart" 0 stats.Hqs.restarts
+  check_int "no restart" 0 (restarts stats)
 
 let test_injected_qbf_elim () =
   let config = { Hqs.default_config with chaos = chaos [ "qbf.elim" ] } in
@@ -95,7 +96,7 @@ let test_injected_restart () =
   let config = { Hqs.default_config with chaos = chaos [ "elim.universal" ] } in
   let v, stats = Hqs.solve_formula ~config (example1 ~crossed:false) in
   Alcotest.check verdict_t "still sat" Hqs.Sat v;
-  check_int "one restart" 1 stats.Hqs.restarts;
+  check_int "one restart" 1 (restarts stats);
   check "injection recorded" true (degraded_mem "elim.universal->memout[injected]" stats);
   check "restart recorded" true (degraded_mem "solve->restart-degraded[node-limit]" stats);
   let v, stats =
@@ -104,7 +105,7 @@ let test_injected_restart () =
       (example1 ~crossed:true)
   in
   Alcotest.check verdict_t "still unsat" Hqs.Unsat v;
-  check_int "one restart" 1 stats.Hqs.restarts
+  check_int "one restart" 1 (restarts stats)
 
 let test_injected_no_restart_propagates () =
   let config =
@@ -145,7 +146,7 @@ let test_real_qbf_elim_fallback () =
   let v, stats = Hqs.solve_formula ~config f in
   Alcotest.check verdict_t "solved, not memout" Hqs.Sat v;
   check "elim fell back to search" true (degraded_mem "qbf.elim->search[node-limit]" stats);
-  check_int "no restart needed" 0 stats.Hqs.restarts
+  check_int "no restart needed" 0 (restarts stats)
 
 (* Full Shannon expansion of x0^x1^y0^y1 over a given variable order:
    functionally the parity function, structurally a distinct ITE tree
@@ -195,7 +196,7 @@ let test_real_degraded_restart () =
   (* with the restart (the default) the instance is solved, not Memout *)
   let v, stats = Hqs.solve_formula ~config f in
   Alcotest.check verdict_t "solved via restart" Hqs.Sat v;
-  check_int "one restart" 1 stats.Hqs.restarts;
+  check_int "one restart" 1 (restarts stats);
   check "restart recorded" true (degraded_mem "solve->restart-degraded[node-limit]" stats)
 
 (* ------------------------------------------------- degradations on spans *)
@@ -241,7 +242,7 @@ let test_chaos_off_clean () =
   let v, stats = Hqs.solve_formula (example1 ~crossed:false) in
   Alcotest.check verdict_t "sat" Hqs.Sat v;
   check "no degradations" true (stats.Hqs.degraded = []);
-  check_int "no restarts" 0 stats.Hqs.restarts;
+  check_int "no restarts" 0 (restarts stats);
   let inst = Fam.pec_xor ~length:3 ~boxes:1 ~fault:false in
   let v, stats = Hqs.solve_pcnf inst.Fam.pcnf in
   Alcotest.check verdict_t "pec sat" Hqs.Sat v;

@@ -138,7 +138,7 @@ let test_headline_counts () =
      with Not_found -> false)
 
 let test_csv_lines () =
-  let s = Harness.Report.csv fake_results in
+  let s = Harness.Report.csv ~config:Hqs.default_config fake_results in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
   check_int "header + one line per result" 4 (List.length lines);
   check "memout cell" true
@@ -158,7 +158,7 @@ let contains s needle =
 let test_degradation_column () =
   let t = Harness.Report.table1 fake_results in
   check "degr header" true (contains t "degr");
-  let s = Harness.Report.csv fake_results in
+  let s = Harness.Report.csv ~config:Hqs.default_config fake_results in
   check "csv degradation label" true (contains s "maxsat.minset->greedy[timeout]")
 
 let disagreeing_results =
@@ -183,7 +183,7 @@ let test_disagreement_reported () =
   check "table flags alarm" true
     (contains (Harness.Report.table1 disagreeing_results) "SOUNDNESS ALARM");
   check "table names instance" true (contains (Harness.Report.table1 disagreeing_results) "x1");
-  check "csv flags disagree" true (contains (Harness.Report.csv disagreeing_results) "DISAGREE");
+  check "csv flags disagree" true (contains (Harness.Report.csv ~config:Hqs.default_config disagreeing_results) "DISAGREE");
   check "headline flags alarm" true
     (contains (Harness.Report.headline disagreeing_results) "disagreements: 1");
   (* clean results stay quiet *)
@@ -212,7 +212,7 @@ let test_crash_reported () =
   let t = Harness.Report.table1 crashy_results in
   check "table names quarantined instance" true (contains t "CRASH: 1 instance(s)");
   check "table names id" true (contains t "c1");
-  let s = Harness.Report.csv crashy_results in
+  let s = Harness.Report.csv ~config:Hqs.default_config crashy_results in
   check "csv crash outcome cell" true (contains s "CRASH,0.400");
   check "csv executor cells" true (contains s ",crash,3,1234");
   check "fig4 crash rail" true (contains (Harness.Report.fig4 crashy_results) "CR");
@@ -221,7 +221,7 @@ let test_crash_reported () =
     (contains (Harness.Report.headline crashy_results) "solved by HQS: 2")
 
 let test_csv_executor_columns () =
-  let s = Harness.Report.csv fake_results in
+  let s = Harness.Report.csv ~config:Hqs.default_config fake_results in
   let header = List.hd (String.split_on_char '\n' s) in
   (* pre-existing prefix is byte-stable; the executor block is appended *)
   check "stable prefix" true
@@ -237,6 +237,89 @@ let test_csv_executor_columns () =
   check "in-process rows: solved, 1 attempt, empty pid, blank analysis/inproc/cert cells"
     true
     (contains s ",solved,1,,,,,,,,,,,,,,,,\n")
+
+(* a timed-out worker's row is rebuilt from its salvaged samples: the
+   config echoes come from the sweep's config (not hard-coded defaults)
+   and inproc rounds are fixpoint rounds (not engine calls), exactly as
+   on a clean row *)
+let test_salvaged_row () =
+  let sample name kind v = { Obs.Metrics.name; kind; v } in
+  let salvaged =
+    [
+      sample "elim.universal" Obs.Metrics.Counter 3.0;
+      sample "hqs.maxsat_set" Obs.Metrics.Gauge 4.0;
+      sample "hqs.maxsat_time_s.count" Obs.Metrics.Histogram 1.0;
+      sample "hqs.peak_nodes" Obs.Metrics.Gauge 4167.0;
+      sample "inproc.rounds" Obs.Metrics.Counter 2.0;
+      sample "inproc.runs" Obs.Metrics.Counter 1.0;
+    ]
+  in
+  let completion =
+    {
+      Exec.Supervisor.task_id = "c432_g3l6_k2_ok/hqs";
+      status = Exec.Supervisor.Timeout 30.0;
+      attempts = 1;
+      worker_pid = 4242;
+      elapsed_s = 30.0;
+      crash_log = [];
+      from_journal = false;
+      salvaged_metrics = salvaged;
+    }
+  in
+  let stats = Harness.Sweep.stats_of_completion completion in
+  check "salvaged stats rebuilt" true (stats <> None);
+  let config =
+    {
+      Hqs.default_config with
+      Hqs.dep_scheme = Analysis.Scheme.Rp;
+      check_level = Check.Full;
+      preprocess = { Hqs.default_config.Hqs.preprocess with Dqbf.Preprocess.inproc = Inproc.Full };
+    }
+  in
+  let row =
+    {
+      R.id = "c432_g3l6_k2_ok";
+      family = "c432";
+      sat_expected = None;
+      hqs = R.Timeout 30.0;
+      idq = R.Timeout 30.0;
+      hqs_degraded = [];
+      hqs_stats = stats;
+      soundness = R.Consistent;
+      attempts = 1;
+      worker_pid = Some 4242;
+      cert_path = None;
+    }
+  in
+  let lines = String.split_on_char '\n' (Harness.Report.csv ~config [ row ]) in
+  let cell name =
+    match lines with
+    | header :: line :: _ ->
+        let columns = String.split_on_char ',' header and cells = String.split_on_char ',' line in
+        List.assoc name (List.combine columns cells)
+    | _ -> Alcotest.fail "csv has no data row"
+  in
+  let check_cell name want = Alcotest.(check string) name want (cell name) in
+  check_cell "hqs_outcome" "TO";
+  check_cell "hqs_dep_scheme" "rp";
+  check_cell "hqs_inproc_mode" "full";
+  check_cell "hqs_inproc_rounds" "2";
+  check_cell "hqs_peak_nodes" "4167";
+  check_cell "hqs_univ_elims" "3";
+  check_cell "hqs_maxsat_set" "4";
+  check_cell "hqs_cert_status" "-";
+  match stats with
+  | None -> ()
+  | Some s ->
+      (* the --stats rendering of the same stats reads the same table *)
+      let line = Format.asprintf "%a" (Hqs.pp_stats config) s in
+      List.iter
+        (fun kv -> check ("stats line has " ^ kv) true (contains line kv))
+        [ "maxsat-runs=1 "; "check-level=full "; "dep-scheme=rp "; "inproc=full "; "inproc-rounds=2 " ];
+      (* and the clean-frame codec carries samples and labels unchanged *)
+      let labelled = { s with Hqs.degraded = [ "fraig.sweep->compact[timeout]" ]; cert_status = "SAT" } in
+      check "stats frame round-trips" true
+        (Harness.Sweep.stats_of_json (Harness.Sweep.stats_to_json labelled) = Some labelled)
 
 (* regression for the BENCH_analysis.json sentinel leak: a run without
    stats must render as JSON [null], never as [-1] (which downstream
@@ -280,5 +363,6 @@ let () =
           Alcotest.test_case "crash reported" `Quick test_crash_reported;
           Alcotest.test_case "csv executor columns" `Quick test_csv_executor_columns;
           Alcotest.test_case "json null cells" `Quick test_json_null_cells;
+          Alcotest.test_case "salvaged row" `Quick test_salvaged_row;
         ] );
     ]

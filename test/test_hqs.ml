@@ -89,7 +89,7 @@ let example1 ~crossed =
 let test_example1 () =
   let v, stats = Hqs.solve_formula (example1 ~crossed:false) in
   Alcotest.check verdict_t "aligned sat" Hqs.Sat v;
-  check "eliminated a universal" true (stats.Hqs.univ_elims >= 1);
+  check "eliminated a universal" true (Hqs.metric stats "elim.universal" >= 1.0);
   let v, _ = Hqs.solve_formula (example1 ~crossed:true) in
   Alcotest.check verdict_t "crossed unsat" Hqs.Unsat v
 

@@ -348,15 +348,82 @@ let test_end_to_end_solve () =
   check "summary lists qbf.backend" true (contains summary "qbf.backend")
 
 let test_solve_metrics_flow () =
-  (* the same counters surface in Hqs.stats via the registry delta *)
+  (* the solve's metric scope is its stats: the --stats line renders the
+     registry counters, and the config echoes come from the config *)
   let inst = Fam.pec_xor ~length:3 ~boxes:2 ~fault:true in
   let _, stats = Hqs.solve_pcnf inst.Fam.pcnf in
+  let line = Format.asprintf "%a" (Hqs.pp_stats Hqs.default_config) stats in
+  let has sub =
+    let n = String.length line and m = String.length sub in
+    let rec go i = i + m <= n && (String.equal (String.sub line i m) sub || go (i + 1)) in
+    go 0
+  in
   check "univ elims counted" true
-    (match List.assoc_opt "elim.universal" stats.Hqs.metrics with
-    | Some v -> int_of_float v = stats.Hqs.univ_elims
+    (match Obs.Metrics.find stats.Hqs.samples "elim.universal" with
+    | Some v -> String.starts_with ~prefix:(Printf.sprintf "univ-elims=%d " (int_of_float v)) line
     | None -> false);
-  check "propagations flow into stats" true (stats.Hqs.sat_propagations >= 0);
-  check_str "check level recorded" "off" stats.Hqs.check_level
+  check "propagations flow into stats" true (Hqs.metric stats "sat.propagations" >= 0.0);
+  check "check level echoed" true (has " check-level=off ")
+
+(* gauges are scoped per solve: a small solve after a large one in the
+   same process must report its own peak nodes and MaxSAT set, not the
+   process-wide maxima *)
+let test_solve_peaks_per_solve () =
+  let solve inst = snd (Hqs.solve_pcnf inst.Fam.pcnf) in
+  let small = Fam.pec_xor ~length:2 ~boxes:2 ~fault:false in
+  let alone = solve small in
+  let adder = solve (Fam.adder ~bits:4 ~boxes:2 ~fault:false) in
+  let after = solve small in
+  let peak s = Hqs.metric s "hqs.peak_nodes" and set s = Hqs.metric s "hqs.maxsat_set" in
+  check "adder peaks higher" true (peak adder > peak after);
+  check "adder selects a larger set" true (set adder > set after);
+  Alcotest.(check (float 0.0)) "peak nodes are its own" (peak alone) (peak after);
+  Alcotest.(check (float 0.0)) "maxsat set is its own" (set alone) (set after);
+  check_int "record agrees with samples" (int_of_float (peak after)) after.Hqs.peak_nodes;
+  (* process-wide readers still see the largest peak *)
+  check "registry keeps the adder peak" true
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge "hqs.peak_nodes") >= peak adder)
+
+(* a scope reports its own levels and merges them outward by maximum;
+   flows are deltas and are never reset *)
+let test_scoped_levels () =
+  let g = Obs.Metrics.gauge "t.scope.g" in
+  let c = Obs.Metrics.counter "t.scope.c" in
+  let h = Obs.Metrics.histogram "t.scope.h" in
+  Obs.Metrics.set_max g 9.0;
+  Obs.Metrics.incr ~by:5 c;
+  Obs.Metrics.observe h 100.0;
+  let get samples n = match Obs.Metrics.find samples n with Some v -> v | None -> nan in
+  let (), samples =
+    Obs.Metrics.scoped (fun () ->
+        Alcotest.(check (float 0.0)) "level cleared inside" 0.0 (Obs.Metrics.gauge_value g);
+        Obs.Metrics.set_max g 2.0;
+        Obs.Metrics.incr ~by:3 c;
+        Alcotest.(check int) "counter not reset" 8 (Obs.Metrics.counter_value c);
+        Obs.Metrics.observe h 4.0)
+  in
+  Alcotest.(check (float 0.0)) "scope gauge is its own" 2.0 (get samples "t.scope.g");
+  Alcotest.(check (float 0.0)) "scope counter delta" 3.0 (get samples "t.scope.c");
+  Alcotest.(check (float 0.0)) "scope hist count" 1.0 (get samples "t.scope.h.count");
+  Alcotest.(check (float 0.0)) "scope hist max" 4.0 (get samples "t.scope.h.max");
+  Alcotest.(check (float 0.0)) "registry keeps outer peak" 9.0 (Obs.Metrics.gauge_value g);
+  let hs = Obs.Metrics.histogram_stats h in
+  Alcotest.(check (float 0.0)) "min widened" 4.0 hs.Obs.Metrics.min_;
+  Alcotest.(check (float 0.0)) "max kept" 100.0 hs.Obs.Metrics.max_;
+  Alcotest.(check int) "count kept" 2 hs.Obs.Metrics.count;
+  (* an inner peak above the outer one survives the merge, also when the
+     scope is left by an exception *)
+  (try
+     ignore
+       (Obs.Metrics.scoped (fun () ->
+            Obs.Metrics.set_max g 12.0;
+            raise Exit))
+   with Exit -> ());
+  Alcotest.(check (float 0.0)) "raised scope merges its peak" 12.0 (Obs.Metrics.gauge_value g);
+  (* nothing set inside: the scope reads 0, the registry is untouched *)
+  let (), quiet = Obs.Metrics.scoped (fun () -> ()) in
+  Alcotest.(check (float 0.0)) "unset level reads 0" 0.0 (get quiet "t.scope.g");
+  Alcotest.(check (float 0.0)) "untouched outside" 12.0 (Obs.Metrics.gauge_value g)
 
 let () =
   Alcotest.run "obs"
@@ -368,6 +435,7 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "kind clash" `Quick test_kind_clash;
           Alcotest.test_case "snapshot and delta" `Quick test_snapshot_delta;
+          Alcotest.test_case "scoped levels" `Quick test_scoped_levels;
           Alcotest.test_case "window quantiles at the edges" `Quick test_window_quantiles;
         ] );
       ( "spans",
@@ -388,5 +456,6 @@ let () =
         [
           Alcotest.test_case "pipeline span order" `Quick test_end_to_end_solve;
           Alcotest.test_case "metrics flow into stats" `Quick test_solve_metrics_flow;
+          Alcotest.test_case "solve peaks are per solve" `Slow test_solve_peaks_per_solve;
         ] );
     ]

@@ -520,7 +520,8 @@ let analysis_baseline () =
 (* ---------------------------------------- inprocessing-engine baseline *)
 
 (* One small instance per family: the engine's clause/literal/variable
-   deltas plus the solve-time movement with the engine on vs off land in
+   deltas plus the solve-time movement with the engine on vs off (off
+   enables no rule: gate detection sees the parsed clauses) land in
    BENCH_inproc.json, so a regression in the engine's reduction power
    (or a slowdown it causes) shows up as a baseline diff.
    BENCH_INPROC_ONLY=1 runs just this section. *)

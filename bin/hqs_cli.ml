@@ -342,10 +342,11 @@ let inproc =
     & opt (some string) None
     & info [ "inproc" ] ~docv:"MODE"
         ~doc:
-          "CNF inprocessing engine run between parsing and AIG construction: off, on (unit \
-           propagation, universal reduction, BIG/SCC equivalence substitution, subsumption \
-           and self-subsumption; the default) or full (additionally failed-literal probing \
-           and dependency-aware bounded variable elimination); overrides \\$(b,HQS_INPROC)")
+          "CNF inprocessing engine run between parsing and AIG construction: off (no rule; the \
+           clauses reach gate detection unsimplified), on (unit propagation, universal \
+           reduction, BIG/SCC equivalence substitution, subsumption and self-subsumption; the \
+           default) or full (additionally failed-literal probing and dependency-aware bounded \
+           variable elimination); overrides \\$(b,HQS_INPROC)")
 
 let certify_arg =
   Arg.(

@@ -25,8 +25,9 @@
 #      set (a --stats line without maxsat-set= fails the gate) and prunes
 #      at least one edge on the c432 PEC family
 #   7. inprocessing gate: re-solve the example suite with the CNF
-#      inprocessing engine on vs off under --check full and diff the
-#      verdict lines byte-for-byte; run `hqs analyze` on the committed
+#      inprocessing engine at on, full and off (off is the engine with
+#      no rule enabled) under --check full and require the three verdict
+#      files to be byte-identical; run `hqs analyze` on the committed
 #      fixture and assert at least one SCC merge and one subsumption
 #      were found and audited; prove the no-stdout lint rule fires on a
 #      seeded stdout write under lib/
@@ -224,13 +225,13 @@ fi
 echo "c analysis gate: $total_pruned edge(s) pruned, verdicts identical"
 
 echo "== inproc =="
-# 1) engine on vs off must not move a single verdict byte under the full
-#    auditor, across the same example suite the analysis gate used
-: >"$tmp/verdicts.inproc-on"
-: >"$tmp/verdicts.inproc-off"
+# 1) engine on, full and off (no rule enabled) must not move a single
+#    verdict byte under the full auditor, across the same example suite
+#    the analysis gate used
+for ip in on full off; do : >"$tmp/verdicts.inproc-$ip"; done
 for f in "$tmp/an"/*.dqdimacs; do
   id=$(basename "$f" .dqdimacs)
-  for ip in on off; do
+  for ip in on full off; do
     ip_status=0
     "$HQS_BIN" "$f" --inproc "$ip" --check full --timeout 60 \
       >"$tmp/ip.$ip.out" 2>&1 || ip_status=$?
@@ -245,11 +246,13 @@ for f in "$tmp/an"/*.dqdimacs; do
     grep '^s ' "$tmp/ip.$ip.out" | sed "s|^|$id |" >>"$tmp/verdicts.inproc-$ip"
   done
 done
-cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || {
-  echo "== ci FAILED: inproc on and off disagree on a verdict =="
-  diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || true
-  exit 1
-}
+for ip in full off; do
+  cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-$ip" || {
+    echo "== ci FAILED: inproc on and $ip disagree on a verdict =="
+    diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-$ip" || true
+    exit 1
+  }
+done
 # 2) the committed fixture must exhibit (and pass the audit for) at least
 #    one SCC merge and one subsumption
 ip_line=$("$HQS_BIN" analyze test/fixtures/inproc_basic.dqdimacs --check full \

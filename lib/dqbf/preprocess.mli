@@ -1,5 +1,7 @@
 (** CNF-level preprocessing (Section III-C of the paper), applied before
-    the AIG is built:
+    the AIG is built. The first three rules below are the {!Inproc}
+    engine's, run to its fixpoint at the strength [config.inproc] selects
+    ([Off] enables none of them):
 
     - unit literal propagation (universal unit literals refute the formula);
     - generalized universal reduction: a universal literal is dropped from
@@ -13,8 +15,8 @@
       inputs; detected definitions are removed from the clause set and
       substituted structurally into the AIG (dependency-legal gates only).
 
-    The first three run in alternation to a fixpoint, then gates are
-    harvested and the {!Formula.t} is assembled. *)
+    Gate detection (and the optional blocked-clause elimination) then run
+    on the engine's clauses, and the {!Formula.t} is assembled. *)
 
 type stats = {
   units : int;  (** unit literals propagated *)
@@ -25,9 +27,6 @@ type stats = {
 }
 
 type config = {
-  unit_propagation : bool;
-  universal_reduction : bool;
-  equivalences : bool;
   gate_detection : bool;
   blocked_clauses : bool;
       (** DQBF blocked-clause elimination (Wimmer et al., SAT 2015) — the
@@ -36,12 +35,10 @@ type config = {
           automatically when a model trail is attached, because the rule
           does not preserve Skolem certificates. *)
   inproc : Inproc.mode;
-      (** Delegate the CNF fixpoint to the occurrence-indexed {!Inproc}
-          engine. [Off] keeps the legacy single-module pass (the
-          engine-off baseline); [On]/[Full] run the engine with the rule
-          switches above masked in, then replay its step witnesses into
-          the model trail. Gate detection and blocked-clause elimination
-          remain on this side either way. *)
+      (** Strength of the {!Inproc} engine run
+          ({!Inproc.config_of_mode}); its step witnesses are replayed
+          into the model trail. [Off] is the engine with no rule enabled:
+          the clauses reach gate detection unsimplified. *)
 }
 
 val default_config : config
@@ -49,6 +46,8 @@ val default_config : config
     resolve [HQS_INPROC] / [--inproc] override the field. *)
 
 val off : config
+(** No simplification at all ([--no-preprocess]): [inproc = Off], no gate
+    detection, no blocked-clause elimination. *)
 
 type outcome =
   | Unsat  (** refuted during preprocessing *)
@@ -61,11 +60,10 @@ val run :
   ?on_inproc:(Inproc.outcome -> unit) ->
   Pcnf.t ->
   outcome
-(** [on_inproc] fires once when the engine ran (config [inproc] not
-    [Off]), after trail replay, with the raw engine outcome — the hook
-    the solver uses to audit the run ({!Check.audit_inproc} lives above
-    this library) and to lift the engine counters into [Hqs.stats].
-    Exceptions raised by the callback propagate. *)
+(** [on_inproc] fires once per call, after trail replay, with the raw
+    engine outcome (under [Off] a result with no steps) — the hook the
+    solver uses to audit the run ({!Check.audit_inproc} lives above this
+    library). Exceptions raised by the callback propagate. *)
 
 val run_inproc :
   ?mode:Inproc.mode -> Pcnf.t -> [ `Unsat | `Done of Pcnf.t * Inproc.result ]

@@ -54,35 +54,8 @@ let status_label = function
   | Memout _ -> "memout"
   | Crash _ -> "crash"
 
-let samples_to_json samples =
-  Json.Arr
-    (List.map
-       (fun (s : Obs.Metrics.sample) ->
-         Json.Obj
-           [
-             ("n", Json.Str s.name);
-             ("k", Json.Str (Obs.Metrics.kind_name s.kind));
-             ("v", Json.Num s.v);
-           ])
-       samples)
-
-let samples_of_json j =
-  match Json.to_list j with
-  | None -> []
-  | Some l ->
-      List.filter_map
-        (fun item ->
-          match
-            ( Option.bind (Json.member "n" item) Json.to_string,
-              Option.bind (Json.member "k" item) Json.to_string,
-              Option.bind (Json.member "v" item) Json.to_number )
-          with
-          | Some name, Some kind, Some v ->
-              Option.map
-                (fun kind -> { Obs.Metrics.name; kind; v })
-                (Obs.Metrics.kind_of_name kind)
-          | _ -> None)
-        l
+(* a malformed sample list reads as no samples *)
+let samples_of_json j = Result.value (Obs.Metrics.samples_of_json j) ~default:[]
 
 let completion_to_json c =
   Json.Obj
@@ -98,7 +71,7 @@ let completion_to_json c =
        exact historical shape *)
     @
     if c.salvaged_metrics = [] then []
-    else [ ("salvaged", samples_to_json c.salvaged_metrics) ])
+    else [ ("salvaged", Obs.Metrics.samples_to_json c.salvaged_metrics) ])
 
 let completion_of_json ~task_id j =
   let num key = Option.bind (Json.member key j) Json.to_number in
@@ -176,7 +149,7 @@ let run_child config worker payload fd ~task_id ~attempt ~trace_id ~parent_span 
            let delta = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ()) in
            Ipc.write_frame fd
              (Json.Obj
-                ((("status", Json.Str "partial") :: ("metrics", samples_to_json delta) :: [])
+                ([ ("status", Json.Str "partial"); ("metrics", Obs.Metrics.samples_to_json delta) ]
                 @ trace_fields ()))
          end));
   (* the worker's root span carries the cross-process parent link: the
@@ -189,7 +162,9 @@ let run_child config worker payload fd ~task_id ~attempt ~trace_id ~parent_span 
     Obs.Metrics.scoped (fun () -> match run () with v -> Ok v | exception e -> Error e)
   in
   Obs.Span.set_flush_hook None;
-  let with_obs fields = Json.Obj (fields @ [ ("metrics", samples_to_json delta) ] @ trace_fields ()) in
+  let with_obs fields =
+    Json.Obj (fields @ [ ("metrics", Obs.Metrics.samples_to_json delta) ] @ trace_fields ())
+  in
   let frame =
     match result with
     | Ok v -> with_obs [ ("status", Json.Str "ok"); ("value", v) ]

@@ -111,10 +111,3 @@ val completion_to_json : completion -> Obs.Json.t
 val completion_of_json : task_id:string -> Obs.Json.t -> completion option
 (** Decode a journal payload; [None] if malformed. The result has
     [from_journal = true]. *)
-
-val samples_to_json : Obs.Metrics.sample list -> Obs.Json.t
-(** The wire form of a metric sample list, as in frames and journal
-    lines. *)
-
-val samples_of_json : Obs.Json.t -> Obs.Metrics.sample list
-(** Decode {!samples_to_json}; malformed entries are skipped. *)

@@ -78,7 +78,7 @@ let outcome_of_json j =
 let stats_to_json (s : Hqs.stats) =
   Json.Obj
     [
-      ("samples", Sup.samples_to_json s.Hqs.samples);
+      ("samples", Obs.Metrics.samples_to_json s.Hqs.samples);
       ("degraded", Json.Arr (List.map (fun d -> Json.Str d) s.Hqs.degraded));
       ("cert_status", Json.Str s.Hqs.cert_status);
     ]
@@ -86,12 +86,11 @@ let stats_to_json (s : Hqs.stats) =
 let stats_of_json j =
   let degraded = Option.value ~default:[] (Option.bind (Json.member "degraded" j) Json.to_list) in
   Option.map
-    (fun samples ->
-      Hqs.stats_of_samples
-        ~degraded:(List.filter_map Json.to_string degraded)
-        ?cert_status:(Option.bind (Json.member "cert_status" j) Json.to_string)
-        (Sup.samples_of_json samples))
-    (Json.member "samples" j)
+    (Hqs.stats_of_samples
+       ~degraded:(List.filter_map Json.to_string degraded)
+       ?cert_status:(Option.bind (Json.member "cert_status" j) Json.to_string))
+    (Option.bind (Json.member "samples" j) (fun s ->
+         Result.to_option (Obs.Metrics.samples_of_json s)))
 
 (* ---------------------------------------------------------------- worker *)
 

@@ -43,294 +43,6 @@ let json_of_value = function
   | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
   | Bool b -> if b then "true" else "false"
 
-(* --------------------------------------------------------------- metrics *)
-
-module Metrics = struct
-  type kind = Counter | Gauge | Histogram
-  type counter = { mutable c : int }
-  type gauge = { mutable g : float; mutable g_set : bool }
-
-  (* [g_set]/[h_set]: a level (gauge value, histogram min/max) was set
-     since registration, [reset_all] or the entry of the innermost
-     [scoped] run *)
-  type histogram = {
-    mutable n : int;
-    mutable sum : float;
-    mutable mn : float;
-    mutable mx : float;
-    mutable h_set : bool;
-  }
-
-  type entry = C of counter | G of gauge | H of histogram
-
-  let registry : (string, entry) Hashtbl.t = Hashtbl.create 64
-
-  let register name mk unpack =
-    match Hashtbl.find_opt registry name with
-    | Some e -> (
-        match unpack e with
-        | Some x -> x
-        | None -> invalid_arg ("Obs.Metrics: " ^ name ^ " already registered as another kind"))
-    | None ->
-        let x, e = mk () in
-        Hashtbl.replace registry name e;
-        x
-
-  let counter name =
-    register name
-      (fun () ->
-        let c = { c = 0 } in
-        (c, C c))
-      (function C c -> Some c | G _ | H _ -> None)
-
-  let gauge name =
-    register name
-      (fun () ->
-        let g = { g = 0.0; g_set = false } in
-        (g, G g))
-      (function G g -> Some g | C _ | H _ -> None)
-
-  let histogram name =
-    register name
-      (fun () ->
-        let h = { n = 0; sum = 0.0; mn = 0.0; mx = 0.0; h_set = false } in
-        (h, H h))
-      (function H h -> Some h | C _ | G _ -> None)
-
-  let incr ?(by = 1) c = c.c <- c.c + by
-  let counter_value c = c.c
-
-  let set g v =
-    g.g <- v;
-    g.g_set <- true
-
-  let set_max g v = if (not g.g_set) || v > g.g then set g v
-  let gauge_value g = g.g
-
-  (* widen the min/max levels of [h] to cover [lo, hi] *)
-  let widen h lo hi =
-    if not h.h_set then begin
-      h.mn <- lo;
-      h.mx <- hi;
-      h.h_set <- true
-    end
-    else begin
-      if lo < h.mn then h.mn <- lo;
-      if hi > h.mx then h.mx <- hi
-    end
-
-  let observe h v =
-    widen h v v;
-    h.n <- h.n + 1;
-    h.sum <- h.sum +. v
-
-  type hist_stats = { count : int; sum : float; min_ : float; max_ : float }
-
-  let histogram_stats h = { count = h.n; sum = h.sum; min_ = h.mn; max_ = h.mx }
-
-  (* rolling windows: the last [capacity] observations in a ring buffer,
-     with nearest-rank quantiles. A deliberately separate registry:
-     windows never appear in [snapshot]/[delta], so cross-process frames
-     and BENCH files keep their exact shape *)
-  type window = { cap : int; wbuf : float array; mutable widx : int; mutable wn : int }
-
-  let windows : (string, window) Hashtbl.t = Hashtbl.create 8
-
-  let window ?(capacity = 512) name =
-    if capacity <= 0 then invalid_arg "Obs.Metrics.window: capacity must be positive";
-    match Hashtbl.find_opt windows name with
-    | Some w -> w
-    | None ->
-        let w = { cap = capacity; wbuf = Array.make capacity 0.0; widx = 0; wn = 0 } in
-        Hashtbl.replace windows name w;
-        w
-
-  let wobserve w v =
-    w.wbuf.(w.widx) <- v;
-    w.widx <- (w.widx + 1) mod w.cap;
-    if w.wn < w.cap then w.wn <- w.wn + 1
-
-  let window_count w = w.wn
-
-  let quantile w q =
-    if w.wn = 0 then nan
-    else begin
-      let q = Float.max 0.0 (Float.min 1.0 q) in
-      let a = Array.sub w.wbuf 0 w.wn in
-      Array.sort Float.compare a;
-      let rank = int_of_float (Float.ceil (q *. float_of_int w.wn)) in
-      a.(Stdlib.max 0 (Stdlib.min (w.wn - 1) (rank - 1)))
-    end
-
-  type sample = { name : string; kind : kind; v : float }
-
-  let snapshot () =
-    let acc = ref [] in
-    Hashtbl.iter
-      (fun name entry ->
-        match entry with
-        | C c -> acc := { name; kind = Counter; v = float_of_int c.c } :: !acc
-        | G g -> acc := { name; kind = Gauge; v = g.g } :: !acc
-        | H h ->
-            acc :=
-              { name = name ^ ".count"; kind = Histogram; v = float_of_int h.n }
-              :: { name = name ^ ".sum"; kind = Histogram; v = h.sum }
-              :: { name = name ^ ".min"; kind = Histogram; v = h.mn }
-              :: { name = name ^ ".max"; kind = Histogram; v = h.mx }
-              :: !acc)
-      registry;
-    List.sort (fun a b -> String.compare a.name b.name) !acc
-
-  let delta ~before ~after =
-    let base = Hashtbl.create 64 in
-    List.iter (fun s -> Hashtbl.replace base s.name s.v) before;
-    List.map
-      (fun s ->
-        match s.kind with
-        | Gauge -> s (* a gauge is a level, not a flow: report it as-is *)
-        | Counter | Histogram -> (
-            match Hashtbl.find_opt base s.name with
-            | Some v0 ->
-                (* histogram min/max are not monotonic; keep the absolute *)
-                if
-                  String.ends_with ~suffix:".min" s.name
-                  || String.ends_with ~suffix:".max" s.name
-                then s
-                else { s with v = s.v -. v0 }
-            | None -> s))
-      after
-
-  let to_assoc samples = List.map (fun s -> (s.name, s.v)) samples
-
-  let find samples name =
-    List.find_map (fun s -> if String.equal s.name name then Some s.v else None) samples
-
-  let reset_all () =
-    Hashtbl.iter
-      (fun _ entry ->
-        match entry with
-        | C c -> c.c <- 0
-        | G g ->
-            g.g <- 0.0;
-            g.g_set <- false
-        | H h ->
-            h.n <- 0;
-            h.sum <- 0.0;
-            h.mn <- 0.0;
-            h.mx <- 0.0;
-            h.h_set <- false)
-      registry;
-    Hashtbl.iter
-      (fun _ w ->
-        w.widx <- 0;
-        w.wn <- 0)
-      windows
-
-  let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram -> "histogram"
-
-  let kind_of_name = function
-    | "counter" -> Some Counter
-    | "gauge" -> Some Gauge
-    | "histogram" -> Some Histogram
-    | _ -> None
-
-  (* child -> parent merge over a process boundary: a forked sweep worker
-     sends its per-task snapshot delta; the supervisor folds it into its
-     own registry so sweep-level metric output aggregates every worker *)
-  let absorb samples =
-    (* histogram instruments are flattened to 4 series per name in a
-       snapshot; regroup them so the merge updates one instrument *)
-    let hists : (string, histogram) Hashtbl.t = Hashtbl.create 8 in
-    let part name suffix =
-      if String.ends_with ~suffix name then
-        Some (String.sub name 0 (String.length name - String.length suffix))
-      else None
-    in
-    let hist_part base =
-      match Hashtbl.find_opt hists base with
-      | Some h -> h
-      | None ->
-          let h = { n = 0; sum = 0.0; mn = nan; mx = nan; h_set = false } in
-          Hashtbl.replace hists base h;
-          h
-    in
-    List.iter
-      (fun s ->
-        match s.kind with
-        | Counter -> incr ~by:(int_of_float s.v) (counter s.name)
-        | Gauge -> set_max (gauge s.name) s.v
-        | Histogram -> (
-            match
-              ( part s.name ".count",
-                part s.name ".sum",
-                part s.name ".min",
-                part s.name ".max" )
-            with
-            | Some base, _, _, _ -> (hist_part base).n <- int_of_float s.v
-            | _, Some base, _, _ -> (hist_part base).sum <- s.v
-            | _, _, Some base, _ -> (hist_part base).mn <- s.v
-            | _, _, _, Some base -> (hist_part base).mx <- s.v
-            | None, None, None, None -> ()))
-      samples;
-    Hashtbl.iter
-      (fun base part ->
-        if part.n > 0 then begin
-          let h = histogram base in
-          widen h part.mn part.mx;
-          h.n <- h.n + part.n;
-          h.sum <- h.sum +. part.sum
-        end)
-      hists
-
-  (* Open a scope over every level in the registry: clear each gauge and
-     histogram min/max, and return the closure that merges the scope's
-     levels back into the saved outer ones by the [absorb] rule (gauges
-     keep the maximum, min/max widen). Flows (counters, histogram
-     count/sum) are never touched: callers outside the scope take their
-     own deltas across it. *)
-  let open_levels () =
-    Hashtbl.fold
-      (fun _ entry restores ->
-        match entry with
-        | C _ -> restores
-        | G g ->
-            let v0 = g.g and set0 = g.g_set in
-            g.g <- 0.0;
-            g.g_set <- false;
-            (fun () ->
-              let v = g.g and set = g.g_set in
-              g.g <- v0;
-              g.g_set <- set0;
-              if set then set_max g v)
-            :: restores
-        | H h ->
-            let mn0 = h.mn and mx0 = h.mx and set0 = h.h_set in
-            h.mn <- 0.0;
-            h.mx <- 0.0;
-            h.h_set <- false;
-            (fun () ->
-              let mn = h.mn and mx = h.mx and set = h.h_set in
-              h.mn <- mn0;
-              h.mx <- mx0;
-              h.h_set <- set0;
-              if set then widen h mn mx)
-            :: restores)
-      registry []
-
-  let scoped f =
-    let before = snapshot () in
-    let restores = open_levels () in
-    let close () = List.iter (fun restore -> restore ()) restores in
-    match f () with
-    | v ->
-        let samples = delta ~before ~after:(snapshot ()) in
-        close ();
-        (v, samples)
-    | exception e ->
-        close ();
-        raise e
-end
-
 (* ------------------------------------------------------------------- json *)
 
 module Json = struct
@@ -537,6 +249,320 @@ module Json = struct
   let to_list = function Arr l -> Some l | Null | Bool _ | Num _ | Str _ | Obj _ -> None
   let to_string = function Str s -> Some s | Null | Bool _ | Num _ | Arr _ | Obj _ -> None
   let to_number = function Num f -> Some f | Null | Bool _ | Str _ | Arr _ | Obj _ -> None
+end
+
+(* --------------------------------------------------------------- metrics *)
+
+module Metrics = struct
+  type kind = Counter | Gauge | Histogram
+  type counter = { mutable c : int }
+  type gauge = { mutable g : float; mutable g_set : bool }
+
+  (* [g_set]/[h_set]: a level (gauge value, histogram min/max) was set
+     since registration, [reset_all] or the entry of the innermost
+     [scoped] run *)
+  type histogram = {
+    mutable n : int;
+    mutable sum : float;
+    mutable mn : float;
+    mutable mx : float;
+    mutable h_set : bool;
+  }
+
+  type entry = C of counter | G of gauge | H of histogram
+
+  let registry : (string, entry) Hashtbl.t = Hashtbl.create 64
+
+  let register name mk unpack =
+    match Hashtbl.find_opt registry name with
+    | Some e -> (
+        match unpack e with
+        | Some x -> x
+        | None -> invalid_arg ("Obs.Metrics: " ^ name ^ " already registered as another kind"))
+    | None ->
+        let x, e = mk () in
+        Hashtbl.replace registry name e;
+        x
+
+  let counter name =
+    register name
+      (fun () ->
+        let c = { c = 0 } in
+        (c, C c))
+      (function C c -> Some c | G _ | H _ -> None)
+
+  let gauge name =
+    register name
+      (fun () ->
+        let g = { g = 0.0; g_set = false } in
+        (g, G g))
+      (function G g -> Some g | C _ | H _ -> None)
+
+  let histogram name =
+    register name
+      (fun () ->
+        let h = { n = 0; sum = 0.0; mn = 0.0; mx = 0.0; h_set = false } in
+        (h, H h))
+      (function H h -> Some h | C _ | G _ -> None)
+
+  let incr ?(by = 1) c = c.c <- c.c + by
+  let counter_value c = c.c
+
+  let set g v =
+    g.g <- v;
+    g.g_set <- true
+
+  let set_max g v = if (not g.g_set) || v > g.g then set g v
+  let gauge_value g = g.g
+
+  (* widen the min/max levels of [h] to cover [lo, hi] *)
+  let widen h lo hi =
+    if not h.h_set then begin
+      h.mn <- lo;
+      h.mx <- hi;
+      h.h_set <- true
+    end
+    else begin
+      if lo < h.mn then h.mn <- lo;
+      if hi > h.mx then h.mx <- hi
+    end
+
+  let observe h v =
+    widen h v v;
+    h.n <- h.n + 1;
+    h.sum <- h.sum +. v
+
+  type hist_stats = { count : int; sum : float; min_ : float; max_ : float }
+
+  let histogram_stats h = { count = h.n; sum = h.sum; min_ = h.mn; max_ = h.mx }
+
+  (* rolling windows: the last [capacity] observations in a ring buffer,
+     with nearest-rank quantiles. A deliberately separate registry:
+     windows never appear in [snapshot]/[delta], so cross-process frames
+     and BENCH files keep their exact shape *)
+  type window = { cap : int; wbuf : float array; mutable widx : int; mutable wn : int }
+
+  let windows : (string, window) Hashtbl.t = Hashtbl.create 8
+
+  let window ?(capacity = 512) name =
+    if capacity <= 0 then invalid_arg "Obs.Metrics.window: capacity must be positive";
+    match Hashtbl.find_opt windows name with
+    | Some w -> w
+    | None ->
+        let w = { cap = capacity; wbuf = Array.make capacity 0.0; widx = 0; wn = 0 } in
+        Hashtbl.replace windows name w;
+        w
+
+  let wobserve w v =
+    w.wbuf.(w.widx) <- v;
+    w.widx <- (w.widx + 1) mod w.cap;
+    if w.wn < w.cap then w.wn <- w.wn + 1
+
+  let window_count w = w.wn
+
+  let quantile w q =
+    if w.wn = 0 then nan
+    else begin
+      let q = Float.max 0.0 (Float.min 1.0 q) in
+      let a = Array.sub w.wbuf 0 w.wn in
+      Array.sort Float.compare a;
+      let rank = int_of_float (Float.ceil (q *. float_of_int w.wn)) in
+      a.(Stdlib.max 0 (Stdlib.min (w.wn - 1) (rank - 1)))
+    end
+
+  type sample = { name : string; kind : kind; v : float }
+
+  let snapshot () =
+    let acc = ref [] in
+    Hashtbl.iter
+      (fun name entry ->
+        match entry with
+        | C c -> acc := { name; kind = Counter; v = float_of_int c.c } :: !acc
+        | G g -> acc := { name; kind = Gauge; v = g.g } :: !acc
+        | H h ->
+            acc :=
+              { name = name ^ ".count"; kind = Histogram; v = float_of_int h.n }
+              :: { name = name ^ ".sum"; kind = Histogram; v = h.sum }
+              :: { name = name ^ ".min"; kind = Histogram; v = h.mn }
+              :: { name = name ^ ".max"; kind = Histogram; v = h.mx }
+              :: !acc)
+      registry;
+    List.sort (fun a b -> String.compare a.name b.name) !acc
+
+  let delta ~before ~after =
+    let base = Hashtbl.create 64 in
+    List.iter (fun s -> Hashtbl.replace base s.name s.v) before;
+    List.map
+      (fun s ->
+        match s.kind with
+        | Gauge -> s (* a gauge is a level, not a flow: report it as-is *)
+        | Counter | Histogram -> (
+            match Hashtbl.find_opt base s.name with
+            | Some v0 ->
+                (* histogram min/max are not monotonic; keep the absolute *)
+                if
+                  String.ends_with ~suffix:".min" s.name
+                  || String.ends_with ~suffix:".max" s.name
+                then s
+                else { s with v = s.v -. v0 }
+            | None -> s))
+      after
+
+  let to_assoc samples = List.map (fun s -> (s.name, s.v)) samples
+
+  let find samples name =
+    List.find_map (fun s -> if String.equal s.name name then Some s.v else None) samples
+
+  let reset_all () =
+    Hashtbl.iter
+      (fun _ entry ->
+        match entry with
+        | C c -> c.c <- 0
+        | G g ->
+            g.g <- 0.0;
+            g.g_set <- false
+        | H h ->
+            h.n <- 0;
+            h.sum <- 0.0;
+            h.mn <- 0.0;
+            h.mx <- 0.0;
+            h.h_set <- false)
+      registry;
+    Hashtbl.iter
+      (fun _ w ->
+        w.widx <- 0;
+        w.wn <- 0)
+      windows
+
+  let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram -> "histogram"
+
+  let kind_of_name = function
+    | "counter" -> Some Counter
+    | "gauge" -> Some Gauge
+    | "histogram" -> Some Histogram
+    | _ -> None
+
+  let samples_to_json samples =
+    Json.Arr
+      (List.map
+         (fun { name; kind; v } ->
+           Json.Obj [ ("n", Json.Str name); ("k", Json.Str (kind_name kind)); ("v", Json.Num v) ])
+         samples)
+
+  let samples_of_json j =
+    let sample item =
+      match
+        ( Option.bind (Json.member "n" item) Json.to_string,
+          Option.bind (Json.member "k" item) Json.to_string,
+          Option.bind (Json.member "v" item) Json.to_number )
+      with
+      | Some name, Some k, Some v -> (
+          match kind_of_name k with
+          | Some kind -> Ok { name; kind; v }
+          | None -> Error ("metrics: unknown kind " ^ k))
+      | _ -> Error "metrics: malformed sample"
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | item :: rest -> ( match sample item with Ok s -> go (s :: acc) rest | Error e -> Error e)
+    in
+    match Json.to_list j with None -> Error "metrics: expected an array" | Some items -> go [] items
+
+  (* child -> parent merge over a process boundary: a forked sweep worker
+     sends its per-task snapshot delta; the supervisor folds it into its
+     own registry so sweep-level metric output aggregates every worker *)
+  let absorb samples =
+    (* histogram instruments are flattened to 4 series per name in a
+       snapshot; regroup them so the merge updates one instrument *)
+    let hists : (string, histogram) Hashtbl.t = Hashtbl.create 8 in
+    let part name suffix =
+      if String.ends_with ~suffix name then
+        Some (String.sub name 0 (String.length name - String.length suffix))
+      else None
+    in
+    let hist_part base =
+      match Hashtbl.find_opt hists base with
+      | Some h -> h
+      | None ->
+          let h = { n = 0; sum = 0.0; mn = nan; mx = nan; h_set = false } in
+          Hashtbl.replace hists base h;
+          h
+    in
+    List.iter
+      (fun s ->
+        match s.kind with
+        | Counter -> incr ~by:(int_of_float s.v) (counter s.name)
+        | Gauge -> set_max (gauge s.name) s.v
+        | Histogram -> (
+            match
+              ( part s.name ".count",
+                part s.name ".sum",
+                part s.name ".min",
+                part s.name ".max" )
+            with
+            | Some base, _, _, _ -> (hist_part base).n <- int_of_float s.v
+            | _, Some base, _, _ -> (hist_part base).sum <- s.v
+            | _, _, Some base, _ -> (hist_part base).mn <- s.v
+            | _, _, _, Some base -> (hist_part base).mx <- s.v
+            | None, None, None, None -> ()))
+      samples;
+    Hashtbl.iter
+      (fun base part ->
+        if part.n > 0 then begin
+          let h = histogram base in
+          widen h part.mn part.mx;
+          h.n <- h.n + part.n;
+          h.sum <- h.sum +. part.sum
+        end)
+      hists
+
+  (* Open a scope over every level in the registry: clear each gauge and
+     histogram min/max, and return the closure that merges the scope's
+     levels back into the saved outer ones by the [absorb] rule (gauges
+     keep the maximum, min/max widen). Flows (counters, histogram
+     count/sum) are never touched: callers outside the scope take their
+     own deltas across it. *)
+  let open_levels () =
+    Hashtbl.fold
+      (fun _ entry restores ->
+        match entry with
+        | C _ -> restores
+        | G g ->
+            let v0 = g.g and set0 = g.g_set in
+            g.g <- 0.0;
+            g.g_set <- false;
+            (fun () ->
+              let v = g.g and set = g.g_set in
+              g.g <- v0;
+              g.g_set <- set0;
+              if set then set_max g v)
+            :: restores
+        | H h ->
+            let mn0 = h.mn and mx0 = h.mx and set0 = h.h_set in
+            h.mn <- 0.0;
+            h.mx <- 0.0;
+            h.h_set <- false;
+            (fun () ->
+              let mn = h.mn and mx = h.mx and set = h.h_set in
+              h.mn <- mn0;
+              h.mx <- mx0;
+              h.h_set <- set0;
+              if set then widen h mn mx)
+            :: restores)
+      registry []
+
+  let scoped f =
+    let before = snapshot () in
+    let restores = open_levels () in
+    let close () = List.iter (fun restore -> restore ()) restores in
+    match f () with
+    | v ->
+        let samples = delta ~before ~after:(snapshot ()) in
+        close ();
+        (v, samples)
+    | exception e ->
+        close ();
+        raise e
 end
 
 (* ---------------------------------------------------------------- tracing *)

@@ -18,6 +18,34 @@
 (** Attribute values attached to spans and events. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
 
+(** Minimal recursive-descent JSON reader — enough to validate and
+    inspect the traces this module writes (CI and tests). *)
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val parse : string -> (t, string) result
+  (** Whole-input parse; [Error] carries a message with an offset.
+      Unicode escapes are validated but decoded to a placeholder. *)
+
+  val render : t -> string
+  (** Compact one-line serialization, the dual of {!parse}. The rendering
+      is canonical (a fixed spelling per value), so checksums computed
+      over it — the executor journal's per-line integrity check — survive
+      a parse/serialize round trip. Non-finite numbers are quoted
+      (["nan"], ["inf"]), matching the trace writer. *)
+
+  val member : string -> t -> t option
+  val to_list : t -> t list option
+  val to_string : t -> string option
+  val to_number : t -> float option
+end
+
 (** Named counters, gauges and histograms, registered once in a global
     registry (re-registering a name returns the same instrument;
     registering it as a different kind raises [Invalid_argument]). *)
@@ -108,40 +136,20 @@ module Metrics : sig
   val kind_name : kind -> string
   val kind_of_name : string -> kind option
 
+  val samples_to_json : sample list -> Json.t
+  (** The one wire form of a sample list — sweep frames, journal lines,
+      the sweep stats frame and serve worker replies: an array of
+      [{"n": name, "k": kind, "v": value}] objects. *)
+
+  val samples_of_json : Json.t -> (sample list, string) result
+  (** Decode {!samples_to_json}; [Error] on any malformed sample. *)
+
   val absorb : sample list -> unit
   (** Merge a snapshot taken in {e another process} (a forked sweep
       worker) into this registry: counters are added, gauges keep the
       maximum, and the four flattened histogram series of each histogram
       are regrouped and merged into the instrument (counts/sums added,
       min/max widened). Unknown names are registered on the fly. *)
-end
-
-(** Minimal recursive-descent JSON reader — enough to validate and
-    inspect the traces this module writes (CI and tests). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Whole-input parse; [Error] carries a message with an offset.
-      Unicode escapes are validated but decoded to a placeholder. *)
-
-  val render : t -> string
-  (** Compact one-line serialization, the dual of {!parse}. The rendering
-      is canonical (a fixed spelling per value), so checksums computed
-      over it — the executor journal's per-line integrity check — survive
-      a parse/serialize round trip. Non-finite numbers are quoted
-      (["nan"], ["inf"]), matching the trace writer. *)
-
-  val member : string -> t -> t option
-  val to_list : t -> t list option
-  val to_string : t -> string option
-  val to_number : t -> float option
 end
 
 (** The raw trace: a chronological stream of begin/end/instant events. *)

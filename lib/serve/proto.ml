@@ -85,27 +85,6 @@ let request_of_json j =
   | Some (Json.Str op) -> Error ("unknown op: " ^ op)
   | _ -> Error "request lacks an op field"
 
-let metrics_to_json samples =
-  Json.Arr
-    (List.map
-       (fun { Metrics.name; kind; v } ->
-         Json.Arr [ Json.Str name; Json.Str (Metrics.kind_name kind); Json.Num v ])
-       samples)
-
-let metrics_of_json j =
-  match Json.to_list j with
-  | None -> Error "metrics: expected an array"
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Arr [ Json.Str name; Json.Str kind; Json.Num v ] :: rest -> (
-            match Metrics.kind_of_name kind with
-            | Some kind -> go ({ Metrics.name; kind; v } :: acc) rest
-            | None -> Error ("metrics: unknown kind " ^ kind))
-        | _ -> Error "metrics: malformed sample"
-      in
-      go [] items
-
 let reply_to_json = function
   | Verdict { sat; elapsed_s; cached; audited; cert } ->
       Json.Obj
@@ -348,7 +327,7 @@ let wreply_to_json { w_jid; result; w_elapsed_s; retiring; samples; w_events; ce
        ("result", wresult_to_json result);
        ("elapsed_s", Json.Num w_elapsed_s);
        ("retiring", Json.Bool retiring);
-       ("samples", metrics_to_json samples);
+       ("samples", Metrics.samples_to_json samples);
      ]
     @ (if w_events = [] then [] else [ ("events", Obs.Trace.events_to_json w_events) ])
     @ match cert_blob with Some c -> [ ("cert", Json.Str c) ] | None -> [])
@@ -362,7 +341,7 @@ let wreply_of_json j =
       Json.member "samples" j )
   with
   | Some jid, Some r, Some e, Some (Json.Bool retiring), Some s -> (
-      match (Json.to_number jid, wresult_of_json r, Json.to_number e, metrics_of_json s) with
+      match (Json.to_number jid, wresult_of_json r, Json.to_number e, Metrics.samples_of_json s) with
       | Some jid, Ok result, Some w_elapsed_s, Ok samples ->
           let w_events =
             match Json.member "events" j with

@@ -77,9 +77,6 @@ val request_of_json : Obs.Json.t -> (request, string) result
 val reply_to_json : reply -> Obs.Json.t
 val reply_of_json : Obs.Json.t -> (reply, string) result
 
-val metrics_to_json : Obs.Metrics.sample list -> Obs.Json.t
-val metrics_of_json : Obs.Json.t -> (Obs.Metrics.sample list, string) result
-
 (** {1 Worker protocol (daemon-internal)} *)
 
 type wreq = {

@@ -345,6 +345,22 @@ let test_preprocess_equiv_merge_deps () =
       check_int "unit propagated" 1 stats.Dqbf.Preprocess.units;
       check "matrix true" true (M.is_true (F.matrix f))
 
+let test_preprocess_off_keeps_units () =
+  (* inproc off runs the engine with no rule: the unit clause (y) is
+     neither propagated nor removed *)
+  let pcnf =
+    { Dqbf.Pcnf.num_vars = 2; univs = [ 0 ]; exists = [ (1, [ 0 ]) ]; clauses = [ [ 2 ] ] }
+  in
+  let config =
+    { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Off }
+  in
+  match Dqbf.Preprocess.run ~config pcnf with
+  | Dqbf.Preprocess.Unsat -> Alcotest.fail "not unsat"
+  | Dqbf.Preprocess.Formula (f, stats) ->
+      check_int "no unit propagated" 0 stats.Dqbf.Preprocess.units;
+      check "y still quantified" true (F.is_existential f 1);
+      check "matrix is the unit" true (F.matrix f = M.input (F.man f) 1)
+
 let test_preprocess_gate_detection () =
   (* Tseitin AND gate g = a & b (vars a=1, b=2, g=3), plus a ternary use
      clause (g | a | b) that matches no gate pattern itself *)
@@ -356,8 +372,8 @@ let test_preprocess_gate_detection () =
       clauses = [ [ -4; 2 ]; [ -4; 3 ]; [ 4; -2; -3 ]; [ 4; 2; 3 ] ];
     }
   in
-  (* inproc off: this test exercises the legacy gate detector on the exact
-     Tseitin clause pattern, which the engine's self-subsumption rewrites *)
+  (* inproc off hands gate detection the exact Tseitin clauses, which the
+     engine's self-subsumption would rewrite *)
   let config =
     { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Off }
   in
@@ -424,25 +440,56 @@ let test_bce_removes_blocked () =
   | Dqbf.Preprocess.Formula (_, stats) ->
       check "clauses removed" true (stats.Dqbf.Preprocess.blocked > 0)
 
+(* the engine with exactly one rule enabled, run to its fixpoint *)
+let single_rule_configs =
+  let none = { (Inproc.config_of_mode Inproc.Off) with Inproc.max_rounds = 50 } in
+  [
+    { none with Inproc.unit_propagation = true };
+    { none with Inproc.universal_reduction = true };
+    { none with Inproc.equivalences = true };
+    { none with Inproc.subsumption = true };
+    { none with Inproc.self_subsumption = true };
+    { none with Inproc.probe = true };
+    { none with Inproc.bve = true; bve_cap = (Inproc.config_of_mode Inproc.Full).Inproc.bve_cap };
+  ]
+
+let engine_truth config (pcnf : Dqbf.Pcnf.t) =
+  let problem =
+    {
+      Inproc.num_vars = pcnf.Dqbf.Pcnf.num_vars;
+      univs = Bitset.of_list pcnf.Dqbf.Pcnf.univs;
+      deps = List.map (fun (y, d) -> (y, Bitset.of_list d)) pcnf.Dqbf.Pcnf.exists;
+      clauses = List.map (List.map Sat.Lit.of_dimacs) pcnf.Dqbf.Pcnf.clauses;
+    }
+  in
+  match Inproc.run ~config problem with
+  | Inproc.Unsat -> false
+  | Inproc.Simplified res ->
+      Dqbf.Reference.by_expansion
+        (Dqbf.Pcnf.to_formula
+           {
+             Dqbf.Pcnf.num_vars = pcnf.Dqbf.Pcnf.num_vars;
+             univs = Bitset.to_list res.Inproc.univs;
+             exists = List.map (fun (y, d) -> (y, Bitset.to_list d)) res.Inproc.deps;
+             clauses = List.map (List.map Sat.Lit.to_dimacs) res.Inproc.clauses;
+           })
+
+(* each engine rule alone, and gate detection alone on the unsimplified
+   clauses, preserves truth *)
 let prop_preprocess_ablations_preserve =
   QCheck.Test.make ~name:"each preprocessing stage alone preserves truth" ~count:150
     instance_arb (fun inst ->
       let pcnf = pcnf_of_instance inst in
       let reference = Dqbf.Reference.by_expansion (Dqbf.Pcnf.to_formula pcnf) in
-      let configs =
-        [
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.unit_propagation = true };
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.universal_reduction = true };
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.equivalences = true };
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.gate_detection = true };
-        ]
-      in
-      List.for_all
-        (fun config ->
-          match Dqbf.Preprocess.run ~config pcnf with
-          | Dqbf.Preprocess.Unsat -> reference = false
-          | Dqbf.Preprocess.Formula (f, _) -> Dqbf.Reference.by_expansion f = reference)
-        configs)
+      List.for_all (fun config -> engine_truth config pcnf = reference) single_rule_configs
+      &&
+      match
+        Dqbf.Preprocess.run
+          ~config:{ Dqbf.Preprocess.off with Dqbf.Preprocess.gate_detection = true }
+          pcnf
+      with
+      | Dqbf.Preprocess.Unsat -> reference = false
+      | Dqbf.Preprocess.Formula (f, _) -> Dqbf.Reference.by_expansion f = reference)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -483,6 +530,7 @@ let () =
           Alcotest.test_case "universal reduction" `Quick test_preprocess_universal_reduction;
           Alcotest.test_case "equivalence with universal" `Quick test_preprocess_equiv_universal_unsat;
           Alcotest.test_case "equivalence merges deps" `Quick test_preprocess_equiv_merge_deps;
+          Alcotest.test_case "inproc off keeps units" `Quick test_preprocess_off_keeps_units;
           Alcotest.test_case "gate detection" `Quick test_preprocess_gate_detection;
           Alcotest.test_case "xor gate detection" `Quick test_preprocess_xor_gate;
         ]

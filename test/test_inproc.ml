@@ -160,11 +160,13 @@ let prop_engine_preserves_truth =
           Check.audit_inproc ~level:Check.Full p (Inproc.Simplified res);
           Dqbf.Reference.by_expansion (Pcnf.to_formula simplified) = reference)
 
-(* end-to-end: the solver's verdict does not depend on the engine mode *)
+(* end-to-end: the solver's verdict under every engine mode matches the
+   reference expansion solver *)
 let prop_solver_mode_agreement =
   QCheck.Test.make ~count:60 ~name:"solver verdicts agree across inproc modes"
     instance_arb (fun inst ->
       let p = to_pcnf inst in
+      let reference = Dqbf.Reference.by_expansion (Pcnf.to_formula p) in
       let solve mode =
         let config =
           {
@@ -176,7 +178,7 @@ let prop_solver_mode_agreement =
         in
         match Hqs.solve_pcnf ~config p with Hqs.Sat, _ -> true | Hqs.Unsat, _ -> false
       in
-      solve Inproc.Off = solve Inproc.Full)
+      List.for_all (fun mode -> solve mode = reference) [ Inproc.Off; Inproc.On; Inproc.Full ])
 
 let subsumption_only =
   {

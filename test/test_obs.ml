@@ -53,6 +53,37 @@ let test_histogram () =
   Alcotest.(check (float 0.0)) "min" 1.0 s.Obs.Metrics.min_;
   Alcotest.(check (float 0.0)) "max" 3.0 s.Obs.Metrics.max_
 
+let test_samples_codec () =
+  let c = Obs.Metrics.counter "t.codec.c" in
+  let g = Obs.Metrics.gauge "t.codec.g" in
+  let h = Obs.Metrics.histogram "t.codec.h" in
+  Obs.Metrics.incr ~by:4 c;
+  Obs.Metrics.set g 2.5;
+  Obs.Metrics.observe h 0.125;
+  let samples =
+    List.filter
+      (fun s -> String.starts_with ~prefix:"t.codec." s.Obs.Metrics.name)
+      (Obs.Metrics.snapshot ())
+  in
+  let kinds =
+    List.sort_uniq String.compare
+      (List.map (fun s -> Obs.Metrics.kind_name s.Obs.Metrics.kind) samples)
+  in
+  check_int "all three kinds" 3 (List.length kinds);
+  let wire = Obs.Json.render (Obs.Metrics.samples_to_json samples) in
+  (match Result.bind (Obs.Json.parse wire) Obs.Metrics.samples_of_json with
+  | Ok decoded -> check "round trip" true (decoded = samples)
+  | Error msg -> Alcotest.fail msg);
+  let rejects what text =
+    match Result.bind (Obs.Json.parse text) Obs.Metrics.samples_of_json with
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | Error _ -> ()
+  in
+  rejects "unknown kind" {|[{"n":"a","k":"meter","v":1}]|};
+  rejects "missing value" {|[{"n":"a","k":"counter"}]|};
+  rejects "one bad sample among good" {|[{"n":"a","k":"counter","v":1},["a","counter",1]]|};
+  rejects "not an array" {|{"n":"a","k":"counter","v":1}|}
+
 let test_kind_clash () =
   let _ = Obs.Metrics.counter "t.clash" in
   Alcotest.check_raises "gauge over counter"
@@ -434,6 +465,7 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "kind clash" `Quick test_kind_clash;
+          Alcotest.test_case "sample codec round trip" `Quick test_samples_codec;
           Alcotest.test_case "snapshot and delta" `Quick test_snapshot_delta;
           Alcotest.test_case "scoped levels" `Quick test_scoped_levels;
           Alcotest.test_case "window quantiles at the edges" `Quick test_window_quantiles;

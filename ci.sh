@@ -53,13 +53,13 @@
 #      and the emitted trace tracecheck-validates with serve.* events
 #  12. distobs gate: a traced chaos-kill sweep must merge worker span
 #      buffers under their own pid rows with cross-pid parent links
-#      (tracecheck --min-pids/--min-cross-links); benchdiff passes on
-#      the committed trajectory baseline and trips on a seeded 25%
-#      phase-time inflation; a chaos-killed daemon with --event-log
-#      shows nonzero crash counters and latency quantiles via hqs top
-#      and leaves a complete, trace-correlated JSONL event trail; the
-#      raw-fd/no-stdout/mono-clock-span lint rules fire on seeded
-#      fixtures
+#      (tracecheck --min-pids/--min-cross-links); a perfbench run of
+#      the current build on the certified workload exits 0 with correct
+#      verdicts and certificates, no failed and every instance decided;
+#      a chaos-killed daemon with --event-log shows nonzero crash
+#      counters and latency quantiles via hqs top and leaves a complete,
+#      trace-correlated JSONL event trail; the raw-fd/no-stdout/
+#      mono-clock-span lint rules fire on seeded fixtures
 #  13. cert gate: assert the isolated verifier links zero libraries
 #      (dune describe) and that the cert-isolation lint rule fires on a
 #      seeded solver reference; certify every example-suite instance
@@ -515,17 +515,24 @@ fi
 dune exec bin/tracecheck.exe -- "$tmp/sweep_trace.json" \
   --min-spans 3 --min-pids 2 --min-cross-links 1 --verbose
 
-# 2) bench regression gate: the committed trajectory baseline passes
-#    against itself, and a seeded 25% phase-time inflation trips it —
-#    a gate that cannot fail is not a gate
-dune exec bin/benchdiff.exe -- BENCH_trajectory.json BENCH_trajectory.json \
-  >"$tmp/bd.ok.out"
-bd_status=0
-dune exec bin/benchdiff.exe -- BENCH_trajectory.json BENCH_trajectory.json \
-  --inflate '.*/phase\..*\.total_s=1.25' >"$tmp/bd.bad.out" 2>&1 || bd_status=$?
-if [ "$bd_status" != 1 ] || ! grep -q '^REGRESSION ' "$tmp/bd.bad.out"; then
-  echo "== ci FAILED: seeded regression not caught by benchdiff (exit $bd_status) =="
-  cat "$tmp/bd.bad.out"
+# 2) bench gate: one real perfbench run of the current build on the
+#    certified workload — every verdict checked against the generator and
+#    every certificate through Cert.check and bin/certcheck. perfbench
+#    refuses to run with the HQS_* config variables set, so they are unset
+pb_status=0
+env -u HQS_CHECK -u HQS_INPROC -u HQS_DEP_SCHEME -u HQS_TRACE \
+  sh perfbench/run.sh --workload certified --seed 1 --seconds 1 --trace 0 \
+  >"$tmp/perfbench.out" 2>"$tmp/perfbench.log" || pb_status=$?
+pb_result=$(tail -n 1 "$tmp/perfbench.out")
+printf '%s\n' "$pb_result" >"$tmp/perfbench.json"
+if [ "$pb_status" != 0 ] \
+  || ! dune exec bin/tracecheck.exe -- "$tmp/perfbench.json" --json-only >/dev/null \
+  || ! printf '%s' "$pb_result" | grep -qF '"correct": true,' \
+  || ! printf '%s' "$pb_result" | grep -qF '"failed": 0,' \
+  || ! printf '%s' "$pb_result" | grep -qF '"decided_frac": {"value": 1,'; then
+  echo "== ci FAILED: perfbench certified run (exit $pb_status) is not correct, failed or undecided =="
+  tail -n 20 "$tmp/perfbench.log"
+  cat "$tmp/perfbench.out"
   exit 1
 fi
 
@@ -626,7 +633,7 @@ for rule in raw-fd no-stdout mono-clock-span; do
     exit 1
   }
 done
-echo "c distobs gate: trace stitched, bench gate trips, top live, event log complete"
+echo "c distobs gate: trace stitched, perfbench certified run correct, top live, event log complete"
 
 echo "== cert (externally checkable certificates) =="
 CERTCHECK=_build/default/bin/certcheck.exe

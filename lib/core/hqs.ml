@@ -187,7 +187,6 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
       let continue_ = ref true in
       while !continue_ do
         Budget.check budget;
-        Obs.Sampler.tick ();
         note_size ();
         if M.is_true (F.matrix f) then raise (Done Sat);
         if M.is_false (F.matrix f) then raise (Done Unsat);

@@ -111,8 +111,8 @@ let pp_diag fmt d =
 
 (* [bin/lint] and [bin/deepcheck] share one diagnostic surface: the same
    human line format, the same one-line JSON document, the same
-   suppression-comment convention — so downstream tooling (benchdiff-style
-   consumers, editors) parses both with one reader. *)
+   suppression-comment convention — so downstream tooling (CI scripts,
+   `tracecheck --json-only`, editors) parses both with one reader. *)
 
 type finding = { f_file : string; f_line : int; f_col : int; f_rule : string; f_msg : string }
 

@@ -378,6 +378,27 @@ let test_end_to_end_solve () =
   check "summary lists hqs.solve" true (contains summary "hqs.solve");
   check "summary lists qbf.backend" true (contains summary "qbf.backend")
 
+(* the flame summary is the span totals and nothing else: one row per
+   span name under the header, no tick-granularity guesses beside them *)
+let test_flame_summary_rows () =
+  let inst = Fam.adder ~bits:2 ~boxes:2 ~fault:true in
+  ignore (with_tracing (fun () -> Hqs.solve_pcnf inst.Fam.pcnf));
+  let totals = Obs.Trace.totals () in
+  let rows =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Obs.Trace.flame_summary ()))
+  in
+  check "traced solve has spans" true (totals <> []);
+  check_int "header plus one row per span" (1 + List.length totals) (List.length rows);
+  List.iter2
+    (fun t row ->
+      check ("row for " ^ t.Obs.Trace.span) true
+        (String.starts_with ~prefix:(t.Obs.Trace.span ^ " ") row))
+    totals (List.tl rows);
+  let has_ticks row =
+    List.exists (String.equal "ticks") (String.split_on_char ' ' row)
+  in
+  check "no ticks line" false (List.exists has_ticks rows)
+
 let test_solve_metrics_flow () =
   (* the solve's metric scope is its stats: the --stats line renders the
      registry counters, and the config echoes come from the config *)
@@ -487,6 +508,7 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "pipeline span order" `Quick test_end_to_end_solve;
+          Alcotest.test_case "flame summary is one row per span" `Quick test_flame_summary_rows;
           Alcotest.test_case "metrics flow into stats" `Quick test_solve_metrics_flow;
           Alcotest.test_case "solve peaks are per solve" `Slow test_solve_peaks_per_solve;
         ] );

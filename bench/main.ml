@@ -151,8 +151,7 @@ let run_suite instances =
   let config =
     {
       (Harness.Sweep.default_config ~timeout ~node_limit) with
-      Harness.Sweep.hqs_config = Hqs.default_config;
-      exec =
+      Harness.Sweep.exec =
         {
           Exec.Supervisor.default_config with
           Exec.Supervisor.jobs;

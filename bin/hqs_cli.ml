@@ -7,7 +7,7 @@
      2         usage error / invalid input (incl. command-line errors)
      1         internal error (uncaught exception)
      3         soundness-check violation     ("s cnf ERROR"; an invariant
-               audit armed with --check / HQS_CHECK tripped)
+               audit armed with --check tripped)
      124       wall-clock timeout            ("s cnf TIMEOUT")
      125       memory budget exhausted       ("s cnf MEMOUT"; AIG node
                limit or --mem-limit heap governor)
@@ -29,68 +29,21 @@ let install_signal_handlers () =
   handle "SIGINT" 130 Sys.sigint;
   handle "SIGTERM" 143 Sys.sigterm
 
-(* the flag overrides the environment, mirroring --check / HQS_CHECK *)
-let resolve_dep_scheme = function
-  | Some s -> (
-      match Analysis.Scheme.of_string s with
-      | Some scheme -> scheme
-      | None ->
-          Printf.eprintf "error: --dep-scheme %s: expected trivial or rp\n" s;
-          exit 2)
-  | None -> (
-      match Analysis.Scheme.of_env () with
-      | Ok scheme -> scheme
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2)
-
-(* same pattern for the inprocessing engine: --inproc beats HQS_INPROC *)
-let resolve_inproc = function
-  | Some s -> (
-      match Inproc.mode_of_string s with
-      | Some m -> m
-      | None ->
-          Printf.eprintf "error: --inproc %s: expected off, on or full\n" s;
-          exit 2)
-  | None -> (
-      match Inproc.mode_of_env () with
-      | Ok m -> m
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2)
+(* the chaos plan of solve, sweep and serve: armed when a seed or any
+   point is given (seed 0 when points come without one); [extra] are a
+   subcommand's own deterministic points *)
+let chaos_of_flags ?(extra = []) chaos_seed chaos_points =
+  let points =
+    (match chaos_points with None -> [] | Some s -> Hqs_util.Chaos.parse_points s) @ extra
+  in
+  match (chaos_seed, points) with
+  | None, [] -> Hqs_util.Chaos.off
+  | seed, points -> Hqs_util.Chaos.create ~seed:(Option.value seed ~default:0) ~points ()
 
 let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2 bce
     expand_all sat_probe no_fraig search_backend no_restart chaos_seed chaos_points check
     dep_scheme inproc certify show_model show_stats trace show_metrics =
   install_signal_handlers ();
-  let trace_file =
-    match trace with
-    | Some f -> Some f
-    | None -> ( match Sys.getenv_opt "HQS_TRACE" with None | Some "" -> None | Some f -> Some f)
-  in
-  (* the flag overrides the environment, mirroring --check / HQS_CHECK *)
-  let certify_path =
-    match certify with
-    | Some p -> Some p
-    | None -> (
-        match Sys.getenv_opt "HQS_CERTIFY" with None | Some "" -> None | Some p -> Some p)
-  in
-  let check_level =
-    match check with
-    | Some s -> (
-        (* the flag overrides the environment *)
-        match Check.level_of_string s with
-        | Some l -> l
-        | None ->
-            Printf.eprintf "error: --check %s: expected off, cheap or full\n" s;
-            exit 2)
-    | None -> (
-        match Check.level_of_env () with
-        | Ok l -> l
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 2)
-  in
   let pcnf =
     try Dqbf.Pcnf.parse_file file
     with Failure msg | Sys_error msg ->
@@ -102,26 +55,12 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
   | Error msg ->
       Printf.eprintf "invalid input: %s\n" msg;
       exit 2);
-  let chaos =
-    match chaos_seed with
-    | None -> Hqs_util.Chaos.off
-    | Some seed ->
-        let points =
-          match chaos_points with None -> [] | Some s -> Hqs_util.Chaos.parse_points s
-        in
-        Hqs_util.Chaos.create ~seed ~points ()
-  in
   let config =
     {
       Hqs.default_config with
       preprocess =
         (if no_preprocess then Dqbf.Preprocess.off
-         else
-           {
-             Dqbf.Preprocess.default_config with
-             blocked_clauses = bce;
-             inproc = resolve_inproc inproc;
-           });
+         else { Dqbf.Preprocess.default_config with blocked_clauses = bce; inproc });
       use_unitpure = not no_unitpure;
       use_maxsat = not no_maxsat;
       use_thm2 = not no_thm2;
@@ -130,10 +69,10 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
       use_sat_probe = sat_probe;
       qbf_backend = (if search_backend then Hqs.Search_backend else Hqs.Elim_backend);
       node_limit;
-      chaos;
+      chaos = chaos_of_flags chaos_seed chaos_points;
       restart_on_memout = not no_restart;
-      check_level;
-      dep_scheme = resolve_dep_scheme dep_scheme;
+      check_level = check;
+      dep_scheme;
     }
   in
   let budget =
@@ -146,11 +85,11 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
     | None -> budget
     | Some mb -> Hqs_util.Budget.with_mem_limit_mb budget mb
   in
-  if Option.is_some trace_file then Obs.Trace.start ();
+  if Option.is_some trace then Obs.Trace.start ();
   (* emit the observability artifacts on every exit path — a timeout or
      memout trace is exactly the one worth looking at *)
   let finish_obs () =
-    (match trace_file with
+    (match trace with
     | None -> ()
     | Some path -> (
         Obs.Trace.stop ();
@@ -199,19 +138,13 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
           end
           else begin
             Unix.sleepf (Exec.Backoff.delay Exec.Backoff.default ~task:"certify" ~attempt:n);
-            attempt (n + 1)
-              {
-                cfg with
-                Hqs.check_level = Check.Full;
-                chaos = Hqs_util.Chaos.off;
-                restart_on_memout = false;
-              }
+            attempt (n + 1) (Hqs.escalated_config cfg)
           end
     in
     attempt 1 config
   in
   let run () =
-    match certify_path with
+    match certify with
     | Some path -> solve_certified path
     | None ->
     if show_model then begin
@@ -304,16 +237,30 @@ let chaos_points =
     value
     & opt (some string) None
     & info [ "chaos-points" ] ~docv:"P1,P2,..."
-        ~doc:"restrict injection to these points (default: all points)")
+        ~doc:
+          "restrict injection to these points (default: all points); given without \
+           $(b,--chaos-seed), they are armed with seed 0")
+
+(* a solve setting's converter, built from the library's parser and
+   printer: a malformed value is a command-line error (exit 2) *)
+let setting_conv ~expected of_string name =
+  let parse s =
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "%S: expected %s" s expected))
+  in
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (name v))
 
 let check =
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (setting_conv ~expected:"off, cheap or full" Check.level_of_string Check.level_name)
+        Check.Off
     & info [ "check" ] ~docv:"LEVEL"
         ~doc:
-          "soundness-auditor depth at every stage boundary: off, cheap (prefix invariants) or \
-           full (deep AIG audit + Skolem certification); overrides \\$(b,HQS_CHECK)")
+          "soundness-auditor depth at every stage boundary: off (the default), cheap (prefix \
+           invariants) or full (deep AIG audit + Skolem certification)")
 
 let trace =
   Arg.(
@@ -322,31 +269,33 @@ let trace =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "record hierarchical spans of the solve pipeline and write them as Chrome trace_event \
-           JSON (open in chrome://tracing or Perfetto); the \\$(b,HQS_TRACE) environment variable \
-           names a file with the same effect. Tracing is off by default and costs one branch per \
-           span when disabled")
+           JSON (open in chrome://tracing or Perfetto). Tracing is off by default and costs one \
+           branch per span when disabled")
 
 let dep_scheme =
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (setting_conv ~expected:"trivial or rp" Analysis.Scheme.of_string Analysis.Scheme.name)
+        Analysis.Scheme.default
     & info [ "dep-scheme" ] ~docv:"SCHEME"
         ~doc:
           "static dependency scheme applied to the prefix before solving: trivial (keep the \
-           prefix as written) or rp (resolution-path pruning, the default); overrides \
-           \\$(b,HQS_DEP_SCHEME)")
+           prefix as written) or rp (resolution-path pruning, the default)")
 
 let inproc =
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (setting_conv ~expected:"off, on or full" Inproc.mode_of_string Inproc.mode_name)
+        Inproc.default_mode
     & info [ "inproc" ] ~docv:"MODE"
         ~doc:
           "CNF inprocessing engine run between parsing and AIG construction: off (no rule; the \
            clauses reach gate detection unsimplified), on (unit propagation, universal \
            reduction, BIG/SCC equivalence substitution, subsumption and self-subsumption; the \
            default) or full (additionally failed-literal probing and dependency-aware bounded \
-           variable elimination); overrides \\$(b,HQS_INPROC)")
+           variable elimination)")
 
 let certify_arg =
   Arg.(
@@ -359,7 +308,7 @@ let certify_arg =
            explicit UNCERTIFIED marker past the expansion cap. Verify with \
            $(b,certcheck INSTANCE FILE), which shares no solver code. A certificate failing \
            its own audit triggers an escalated re-solve (checks full, degradation off) and \
-           exit 3 after 3 attempts. Overrides \\$(b,HQS_CERTIFY)")
+           exit 3 after 3 attempts")
 
 let flag names doc = Arg.(value & flag & info names ~doc)
 
@@ -380,7 +329,7 @@ let family_of_path file =
   | d -> d
 
 let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_limit chaos_seed
-    chaos_points chaos_kill dep_scheme inproc certify_dir trace =
+    chaos_points chaos_kill check dep_scheme inproc certify_dir trace =
   install_signal_handlers ();
   if files = [] then begin
     Printf.eprintf "error: no input files\n";
@@ -427,41 +376,26 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
        Hashtbl.replace seen it.Harness.Sweep.id ())
      items);
   let chaos =
-    let points =
-      (match chaos_points with None -> [] | Some s -> Hqs_util.Chaos.parse_points s)
-      @
-      (* convenience: arm the worker-kill point for every attempt of one
-         task, so a quarantine is reproducible from the command line *)
-      (match chaos_kill with
-      | None -> []
-      | Some task ->
-          List.init retries (fun i -> Hqs_util.Chaos.worker_kill_point ~task ~attempt:(i + 1)))
-    in
-    match (chaos_seed, points) with
-    | None, [] -> Hqs_util.Chaos.off
-    | seed, points -> Hqs_util.Chaos.create ~seed:(Option.value seed ~default:0) ~points ()
+    (* convenience: arm the worker-kill point for every attempt of one
+       task, so a quarantine is reproducible from the command line *)
+    chaos_of_flags chaos_seed chaos_points
+      ~extra:
+        (match chaos_kill with
+        | None -> []
+        | Some task ->
+            List.init retries (fun i -> Hqs_util.Chaos.worker_kill_point ~task ~attempt:(i + 1)))
   in
   let config =
     {
       (Harness.Sweep.default_config ~timeout ~node_limit) with
-      (* an explicit flag overrides the scheme/engine that
-         Hqs.default_config read from HQS_DEP_SCHEME / HQS_INPROC; the
-         CSV echoes the same config the forked workers solve under *)
+      (* the CSV echoes the same config the forked workers solve under *)
       Harness.Sweep.hqs_config =
-        (let cfg = Hqs.default_config in
-         let cfg =
-           match dep_scheme with
-           | None -> cfg
-           | Some s -> { cfg with Hqs.dep_scheme = resolve_dep_scheme (Some s) }
-         in
-         match inproc with
-         | None -> cfg
-         | Some s ->
-             {
-               cfg with
-               Hqs.preprocess =
-                 { cfg.Hqs.preprocess with Dqbf.Preprocess.inproc = resolve_inproc (Some s) };
-             });
+        {
+          Hqs.default_config with
+          Hqs.preprocess = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc };
+          check_level = check;
+          dep_scheme;
+        };
       Harness.Sweep.certify_dir;
       Harness.Sweep.exec =
         {
@@ -614,7 +548,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc ~man)
     Term.(
       const sweep $ sweep_files $ jobs $ sweep_timeout $ sweep_node_limit $ retries $ journal
-      $ resume $ sweep_mem_limit $ cpu_limit $ chaos_seed $ chaos_points $ chaos_kill
+      $ resume $ sweep_mem_limit $ cpu_limit $ chaos_seed $ chaos_points $ chaos_kill $ check
       $ dep_scheme $ inproc
       $ Arg.(
           value
@@ -671,23 +605,7 @@ let print_inproc_report mode (outcome : Inproc.outcome) =
         s.Inproc.clauses_before s.Inproc.clauses_after s.Inproc.lits_before
         s.Inproc.lits_after
 
-let analyze file dep_scheme check inproc =
-  let scheme = resolve_dep_scheme dep_scheme in
-  let check_level =
-    match check with
-    | Some s -> (
-        match Check.level_of_string s with
-        | Some l -> l
-        | None ->
-            Printf.eprintf "error: --check %s: expected off, cheap or full\n" s;
-            exit 2)
-    | None -> (
-        match Check.level_of_env () with
-        | Ok l -> l
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 2)
-  in
+let analyze file scheme check_level mode =
   let pcnf =
     try Dqbf.Pcnf.parse_file file
     with Failure msg | Sys_error msg ->
@@ -699,7 +617,6 @@ let analyze file dep_scheme check inproc =
   | Error msg ->
       Printf.eprintf "invalid input: %s\n" msg;
       exit 2);
-  let mode = resolve_inproc inproc in
   let _refined, report = Analysis.Rp.analyze ~scheme pcnf in
   (match
      Check.audit_dep_pruning ~level:check_level pcnf ~pruned:report.Analysis.Rp.pruned
@@ -754,57 +671,28 @@ let analyze_cmd =
    Serve.Daemon for the robustness contract. Exits 0 after a SIGTERM /
    SIGINT drain, 2 on usage errors (bad bounds, unbindable socket). *)
 
-let resolve_check_level check =
-  match check with
-  | Some s -> (
-      match Check.level_of_string s with
-      | Some l -> l
-      | None ->
-          Printf.eprintf "error: --check %s: expected off, cheap or full\n" s;
-          exit 2)
-  | None -> (
-      match Check.level_of_env () with
-      | Ok l -> l
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2)
-
 let serve socket workers queue_cap timeout max_timeout kill_grace retries mem_limit node_limit
-    cache check audit_period trace event_log chaos_seed chaos_points chaos_kill certify
+    cache check_level audit_period trace event_log chaos_seed chaos_points chaos_kill certify
     chaos_cert dep_scheme inproc =
   (* no install_signal_handlers: SIGTERM/SIGINT mean "drain", not "abort" *)
-  let check_level = resolve_check_level check in
   let chaos =
-    let points =
-      (match chaos_points with None -> [] | Some s -> Hqs_util.Chaos.parse_points s)
-      @
-      (* convenience: kill the first dispatch of one job id — the retry
-         then succeeds, which is the structured-reply-after-crash path *)
-      (match chaos_kill with
-      | None -> []
-      | Some jid -> [ Serve.Daemon.kill_point ~jid ~attempt:1 ])
-      @
-      (* same shape for the certificate recovery loop: poison the first
-         dispatch's artifact, so the escalated re-solve then verifies *)
-      (match chaos_cert with
-      | None -> []
-      | Some jid -> [ Serve.Daemon.cert_point ~jid ~attempt:1 ])
-    in
-    match (chaos_seed, points) with
-    | None, [] -> Hqs_util.Chaos.off
-    | seed, points -> Hqs_util.Chaos.create ~seed:(Option.value seed ~default:0) ~points ()
+    (* convenience: kill the first dispatch of one job id — the retry
+       then succeeds, which is the structured-reply-after-crash path; the
+       same shape for the certificate recovery loop poisons the first
+       dispatch's artifact, so the escalated re-solve then verifies *)
+    let first_dispatch point = function None -> [] | Some jid -> [ point ~jid ~attempt:1 ] in
+    chaos_of_flags chaos_seed chaos_points
+      ~extra:
+        (first_dispatch Serve.Daemon.kill_point chaos_kill
+        @ first_dispatch Serve.Daemon.cert_point chaos_cert)
   in
   let solver =
     {
       Hqs.default_config with
       Hqs.node_limit;
       check_level;
-      dep_scheme = resolve_dep_scheme dep_scheme;
-      preprocess =
-        {
-          Hqs.default_config.Hqs.preprocess with
-          Dqbf.Preprocess.inproc = resolve_inproc inproc;
-        };
+      dep_scheme;
+      preprocess = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc };
     }
   in
   let config =

@@ -33,7 +33,7 @@
 #      seeded stdout write under lib/
 #   8. chaos-enabled smoke solve: generate a small PEC instance and
 #      solve it with fault injection armed AND the soundness auditor at
-#      full depth (HQS_CHECK=full), proving the degradation ladder and
+#      full depth (--check full), proving the degradation ladder and
 #      the stage audits end-to-end through the real CLI
 #   9. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
@@ -287,7 +287,7 @@ echo "c inproc gate: verdicts identical, fixture merged+subsumed, no-stdout arme
 echo "== chaos smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")
 status=0
-HQS_CHECK=full dune exec bin/hqs_cli.exe -- "$f" --chaos-seed 42 --timeout 60 --stats || status=$?
+dune exec bin/hqs_cli.exe -- "$f" --chaos-seed 42 --check full --timeout 60 --stats || status=$?
 case "$status" in
 10 | 20) : ;;
 *)
@@ -518,7 +518,8 @@ dune exec bin/tracecheck.exe -- "$tmp/sweep_trace.json" \
 # 2) bench gate: one real perfbench run of the current build on the
 #    certified workload — every verdict checked against the generator and
 #    every certificate through Cert.check and bin/certcheck. perfbench
-#    refuses to run with the HQS_* config variables set, so they are unset
+#    still refuses to run with the retired HQS_* variables set, although
+#    the solver no longer reads them, so they are unset
 pb_status=0
 env -u HQS_CHECK -u HQS_INPROC -u HQS_DEP_SCHEME -u HQS_TRACE \
   sh perfbench/run.sh --workload certified --seed 1 --seconds 1 --trace 0 \

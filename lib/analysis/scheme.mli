@@ -9,7 +9,7 @@
       [x]/[y] in both polarities.
 
     The solver default is [Rp], overridable per solve with
-    [--dep-scheme] or the [HQS_DEP_SCHEME] environment variable. *)
+    [--dep-scheme]. *)
 
 type t = Trivial | Rp
 
@@ -21,7 +21,3 @@ val name : t -> string
 
 val of_string : string -> t option
 (** Inverse of {!name}; [None] on anything else. *)
-
-val of_env : unit -> (t, string) result
-(** Parse the [HQS_DEP_SCHEME] environment variable; unset or empty is
-    [Ok default], an unknown value is [Error] with a usable message. *)

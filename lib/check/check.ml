@@ -36,14 +36,6 @@ let level_of_string s =
   | "full" | "2" -> Some Full
   | _ -> None
 
-let level_of_env () =
-  match Sys.getenv_opt "HQS_CHECK" with
-  | None | Some "" -> Ok Off
-  | Some s -> (
-      match level_of_string s with
-      | Some l -> Ok l
-      | None -> Error (Printf.sprintf "HQS_CHECK=%s: expected off, cheap or full" s))
-
 type violation = { stage : stage; structure : string; detail : string }
 
 exception Violation of violation
@@ -530,16 +522,18 @@ let audit_certificate ?budget ~level ~instance_text (pcnf : Dqbf.Pcnf.t) cert =
       Obs.Span.with_ "check.audit"
         ~attrs:[ ("stage", Obs.Str (stage_name stage)); ("level", Obs.Str (level_name level)) ]
       @@ fun () ->
-      (match Cert.check_structural ~instance_text pcnf cert with
-      | Ok () -> ()
-      | Error detail -> violation stage "certificate" "%s" detail);
-      if Cert.is_inconsistent cert then
-        violation stage "certificate" "uncertified artifact marks the verdict as inconsistent";
       match level with
       | Full -> (
-          try
-            match Cert.check ?budget ~instance_text pcnf cert with
-            | Ok () -> ()
-            | Error detail -> violation stage "certificate" "%s" detail
-          with Budget.Timeout -> ())
-      | Off | Cheap -> ())
+          (* Cert.check runs the structural pass first and returns its
+             error before any semantic work, so a timeout can only come
+             from the semantic half *)
+          match Cert.check ?budget ~instance_text pcnf cert with
+          | Ok () -> ()
+          | Error detail -> violation stage "certificate" "%s" detail
+          | exception Budget.Timeout -> ())
+      | Off | Cheap -> (
+          (match Cert.check_structural ~instance_text pcnf cert with
+          | Ok () -> ()
+          | Error detail -> violation stage "certificate" "%s" detail);
+          if Cert.is_inconsistent cert then
+            violation stage "certificate" "uncertified artifact marks the verdict as inconsistent"))

@@ -26,14 +26,7 @@ type config = {
 
 let default_config =
   {
-    (* HQS_INPROC follows the HQS_CHECK contract: the CLI reports a
-       malformed value; library users get the engine default *)
-    preprocess =
-      {
-        Dqbf.Preprocess.default_config with
-        Dqbf.Preprocess.inproc =
-          (match Inproc.mode_of_env () with Ok m -> m | Error _ -> Inproc.default_mode);
-      };
+    preprocess = Dqbf.Preprocess.default_config;
     mode = Elimination;
     use_unitpure = true;
     use_thm2 = true;
@@ -46,13 +39,8 @@ let default_config =
     qbf_backend = Elim_backend;
     chaos = Chaos.off;
     restart_on_memout = true;
-    (* a malformed HQS_CHECK is reported by the CLI; library users who
-       bypass it get the safe default *)
-    check_level = (match Check.level_of_env () with Ok l -> l | Error _ -> Check.Off);
-    (* same contract as HQS_CHECK: a malformed HQS_DEP_SCHEME is reported
-       by the CLI; library users get the default scheme *)
-    dep_scheme =
-      (match Analysis.Scheme.of_env () with Ok s -> s | Error _ -> Analysis.Scheme.default);
+    check_level = Check.Off;
+    dep_scheme = Analysis.Scheme.default;
   }
 
 (* the bounded-restart config: keep the same resource limits but trade
@@ -65,6 +53,12 @@ let degraded_config config =
     fraig_threshold = min config.fraig_threshold 1000;
     qbf_backend = Search_backend;
   }
+
+(* the re-solve after a certificate failed its own audit: the answer
+   must be earned, not salvaged — full checks, no fault injection, no
+   degraded restart *)
+let escalated_config config =
+  { config with check_level = Check.Full; chaos = Chaos.off; restart_on_memout = false }
 
 exception Done of verdict
 

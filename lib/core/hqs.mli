@@ -60,19 +60,17 @@ type config = {
       (** soundness-auditor depth at every stage boundary (see {!Check}):
           [Off] is free, [Cheap] scans the prefix, [Full] deep-audits the
           AIG manager and certifies Skolem models with an independent SAT
-          call. Defaults to the [HQS_CHECK] environment variable ([Off]
-          when unset or malformed — the CLI reports malformed values).
-          Violations escape the solve as {!Check.Violation}. *)
+          call. Defaults to [Off]. Violations escape the solve as
+          {!Check.Violation}. *)
   dep_scheme : Analysis.Scheme.t;
       (** static dependency scheme applied to the prefixed CNF before
           preprocessing (see {!Analysis.Rp}): [Rp] (the default) prunes
           spurious dependency edges via resolution paths, shrinking the
           MaxSAT elimination sets and sometimes proving the prefix
           already linearly orderable; [Trivial] keeps the prefix as
-          written. Defaults to the [HQS_DEP_SCHEME] environment variable
-          ([rp] when unset or malformed — the CLI reports malformed
-          values). Only [solve_pcnf]/[solve_pcnf_model] run the analyzer;
-          the [solve_formula] entry points take the prefix as given. *)
+          written. Defaults to [Rp]. Only [solve_pcnf]/[solve_pcnf_model]
+          run the analyzer; the [solve_formula] entry points take the
+          prefix as given. *)
 }
 
 val default_config : config
@@ -81,6 +79,11 @@ val degraded_config : config -> config
 (** The bounded-restart config: same limits, aggressive FRAIG sweeping
     ([fraig_threshold <= 1000]) and the QDPLL search back end, which does
     not grow the AIG. *)
+
+val escalated_config : config -> config
+(** The re-solve config after a certificate failed its own audit:
+    [check_level = Full], chaos {!Hqs_util.Chaos.off} and no degraded
+    restart ([restart_on_memout = false]); every other field is kept. *)
 
 type stats = {
   samples : Obs.Metrics.sample list;

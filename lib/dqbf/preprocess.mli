@@ -42,8 +42,8 @@ type config = {
 }
 
 val default_config : config
-(** [inproc] defaults to {!Inproc.default_mode} ([On]); callers that
-    resolve [HQS_INPROC] / [--inproc] override the field. *)
+(** [inproc] defaults to {!Inproc.default_mode} ([On]); [--inproc]
+    overrides the field. *)
 
 val off : config
 (** No simplification at all ([--no-preprocess]): [inproc = Off], no gate

@@ -128,17 +128,7 @@ let worker_main (config : config) fd =
             if sleep_s > 0. then Unix.sleepf sleep_s;
             let ev_mark = List.length (Obs.Trace.events ()) in
             let solver =
-              (* escalated re-solve after a certificate audit failure:
-                 full checks, no chaos, no degraded restart — the answer
-                 must be earned, not salvaged *)
-              if escalate then
-                {
-                  config.solver with
-                  Hqs.check_level = Check.Full;
-                  chaos = Chaos.off;
-                  restart_on_memout = false;
-                }
-              else config.solver
+              if escalate then Hqs.escalated_config config.solver else config.solver
             in
             let solve () =
               let pcnf = Dqbf.Pcnf.parse_string text in

@@ -175,6 +175,38 @@ let prop_pcnf_no_preprocess =
       let v, _ = Hqs.solve_pcnf ~config pcnf in
       (v = Hqs.Sat) = expected)
 
+(* the library default is a constant: the pipeline's own defaults, with
+   no dependence on the caller's environment *)
+let test_default_config () =
+  check "preprocess is the pipeline default" true
+    (Hqs.default_config.Hqs.preprocess = Dqbf.Preprocess.default_config);
+  check "checks off" true (Hqs.default_config.Hqs.check_level = Check.Off);
+  check "rp scheme" true (Hqs.default_config.Hqs.dep_scheme = Analysis.Scheme.Rp)
+
+let test_escalated_config () =
+  let base =
+    {
+      Hqs.default_config with
+      Hqs.check_level = Check.Cheap;
+      chaos = Chaos.create ~seed:3 ~points:[ "maxsat.minset" ] ();
+      node_limit = Some 7;
+      use_fraig = false;
+    }
+  in
+  let e = Hqs.escalated_config base in
+  check "checks full" true (e.Hqs.check_level = Check.Full);
+  check "chaos off" false (Chaos.enabled e.Hqs.chaos);
+  check "no degraded restart" false e.Hqs.restart_on_memout;
+  (* putting the three fields back yields the input: nothing else moved *)
+  check "only those three fields change" true
+    ({
+       e with
+       Hqs.check_level = base.Hqs.check_level;
+       chaos = base.Hqs.chaos;
+       restart_on_memout = base.Hqs.restart_on_memout;
+     }
+    = base)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -187,6 +219,8 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "node limit memout" `Quick test_node_limit_memout;
           Alcotest.test_case "trivial matrices" `Quick test_trivial_matrices;
+          Alcotest.test_case "default config is constant" `Quick test_default_config;
+          Alcotest.test_case "escalated config" `Quick test_escalated_config;
         ] );
       ( "random",
         qsuite
